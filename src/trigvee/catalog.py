@@ -2,10 +2,15 @@
 
 Flats (subsets of the form configuration-intersect-span) are enumerated by
 extending smaller flats one collinearity class at a time.  The heavy
-combinatorial sweep runs in guarded floating point on intrinsic pairing data;
-each deduplicated representative is then re-verified and restricted in exact
-arithmetic.  Deduplication keys on intrinsic invariants of the restriction
-and is a heuristic: full linear-equivalence testing is out of scope.
+combinatorial sweep runs in guarded floating point on intrinsic pairing data,
+one corank level at a time: each level's flats are extended and then
+fingerprinted in fixed-size chunks of stacked arrays (one stacked solve per
+chunk).  The large temporaries are bounded by the chunk size; beyond them a
+flat costs only its spanning anchors and its member set as packed bits.
+Each deduplicated representative is then re-verified and restricted in exact
+arithmetic.  Deduplication keys on intrinsic invariants of the
+restriction and is a heuristic: full linear-equivalence testing is out of
+scope.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configuration import Configuration, collinear_classes, duals, normalize_positive
+from .configuration import (
+    Configuration,
+    collinear_classes,
+    duals,
+    gram_inverse,
+    normalize_positive,
+)
 from .exactla import dot
 from .restriction import restrict
 from .veesystem import lambda_sq, subsystem, vee_residuals
@@ -79,6 +90,9 @@ def _float_matrix(rows) -> np.ndarray:
 
 _PAR_TOL = 1e-9
 _ROUND = 7
+# Float64 cells in one stacked (chunk, n, n) temporary (8 MB); a chunk holds
+# max(1, _CHUNK_CELLS // n**2) flats, which bounds the sweep's large temporaries.
+_CHUNK_CELLS = 1 << 20
 
 
 def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClass]:
@@ -86,7 +100,9 @@ def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClas
 
     Flats with identical member-pairing multisets and identical restriction
     fingerprints (merged multiplicity profile plus projected pairing
-    multiset) are collected into one class.
+    multiset) are collected into one class.  Each corank level is walked and
+    fingerprinted in chunks of stacked arrays; classes come out level by
+    level, each in the order its first flat was found.
     """
     if not 0 <= max_corank < cfg.dim:
         raise ValueError("max_corank must lie in [0, dim)")
@@ -94,97 +110,155 @@ def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClas
         return []
     n = len(cfg)
     av = _float_matrix(cfg.covectors)
-    dv = _float_matrix(duals(cfg))
-    vf = av @ dv.T
+    vf = av @ _float_matrix(duals(cfg)).T
+    ginv = _float_matrix(gram_inverse(cfg))
     mults = np.array([float(c) for c in cfg.multiplicities])
     classes = collinear_classes(cfg)
-    anchors = [cls.anchor for cls in classes]
-
-    # level 1: flats are the collinearity classes themselves (exact)
-    level = {}
-    for cls in classes:
-        mask = np.zeros(n, dtype=bool)
-        mask[list(cls.indices)] = True
-        level[np.packbits(mask).tobytes()] = ((cls.anchor,), mask)
-
-    flats: list[tuple[tuple[int, ...], np.ndarray]] = list(level.values())
-    for _ in range(2, max_corank + 1):
-        nxt: dict[bytes, tuple[tuple[int, ...], np.ndarray]] = {}
-        for span, mask in level.values():
-            basis = av[list(span)]
-            q, _ = np.linalg.qr(basis.T)
-            resid = av - (av @ q) @ q.T
-            norms = np.linalg.norm(resid, axis=1)
-            inspan = norms < _PAR_TOL
-            unit = resid / np.where(inspan, 1.0, norms)[:, None]
-            par = np.abs(unit @ unit.T) > 1.0 - _PAR_TOL
-            cand = [a for a in anchors if not mask[a]]
-            if not cand:
-                continue
-            new_masks = par[cand] | mask[None, :] | inspan[None, :]
-            packed = np.packbits(new_masks, axis=1)
-            for ci, a in enumerate(cand):
-                key = packed[ci].tobytes()
-                if key not in nxt:
-                    nxt[key] = (span + (a,), new_masks[ci])
-        level = nxt
-        flats.extend(level.values())
-
-    groups: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
-    order: list[tuple] = []
-    absvf = np.abs(vf)
+    chunk = max(1, _CHUNK_CELLS // (n * n))
+    # |vf| rounded, with an extra +inf row and column that padded member
+    # indices point at
+    absvf = np.full((n + 1, n + 1), np.inf)
+    absvf[:n, :n] = np.round(np.abs(vf), _ROUND)
     rvec = np.random.default_rng(1234).uniform(0.5, 1.5, cfg.dim)
-    for span, mask in flats:
-        key = _flat_key(av, vf, absvf, rvec, mults, span, mask)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((span, int(mask.sum())))
-    out = []
-    for key in order:
-        members = groups[key]
-        span, nmem = members[0]
-        out.append(FlatClass(span, nmem, len(span), len(members)))
+
+    out: list[FlatClass] = []
+    for corank, (spans, packed) in enumerate(_levels(av, classes, max_corank, chunk), 1):
+        counts = np.bitwise_count(packed).sum(axis=1)
+        width = int(counts.max(initial=0))
+        groups: dict[bytes, list[int]] = {}  # fingerprint -> [first flat, size]
+        for lo in range(0, len(spans), chunk):
+            rows = _fingerprints(
+                av, ginv, vf, absvf, rvec, mults,
+                spans[lo:lo + chunk], packed[lo:lo + chunk], counts[lo:lo + chunk], width,
+            )
+            for f, row in enumerate(rows, lo):
+                groups.setdefault(row.tobytes(), [f, 0])[1] += 1
+        out.extend(
+            FlatClass(tuple(spans[f].tolist()), int(counts[f]), corank, size)
+            for f, size in groups.values()
+        )
     return out
 
 
-def _flat_key(av, vf, absvf, rvec, mults, span, mask) -> tuple:
-    """Grouping fingerprint of one flat: member pairings, merged multiplicity
-    profile of the projected covectors, and moments of the projected pairing
-    multiset.  All components are invariant under symmetries of the parent
-    (which act on covectors up to sign).  Projected covectors are merged via
-    a fixed random linear hash of their sign-canonical rounded coordinates."""
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(packed, axis=1, count=n).astype(bool)
+
+
+def _levels(av, classes, max_corank, chunk):
+    """The flats of corank 1..max_corank, one level at a time, as (spans,
+    packed): spans[f] are the anchors spanning flat f, packed[f] its member
+    set as packbits.  Level 1 is the collinearity classes themselves (exact)."""
+    n = av.shape[0]
+    anchors = np.array([cls.anchor for cls in classes])
+    masks = np.zeros((len(classes), n), dtype=bool)
+    for row, cls in zip(masks, classes):
+        row[list(cls.indices)] = True
+    spans, packed = anchors[:, None], np.packbits(masks, axis=1)
+    for corank in range(1, max_corank + 1):
+        if corank > 1:
+            spans, packed = _next_level(av, anchors, spans, packed, chunk)
+        if not len(spans):
+            return
+        yield spans, packed
+
+
+def _next_level(av, anchors, spans, packed, chunk) -> tuple[np.ndarray, np.ndarray]:
+    """Extend every flat of one level by each anchor outside it.
+
+    New flats are kept in the order they are first reached (parent flat, then
+    anchor), which fixes the representative span of each."""
+    n = av.shape[0]
+    seen: set[bytes] = set()
+    new_spans, new_packed = [], []
+    for lo in range(0, len(spans), chunk):
+        span = spans[lo:lo + chunk]
+        mask = _unpack(packed[lo:lo + chunk], n)
+        q, _ = np.linalg.qr(av[span].transpose(0, 2, 1))
+        resid = av - (av @ q) @ q.transpose(0, 2, 1)
+        norms = np.linalg.norm(resid, axis=2)
+        inspan = norms < _PAR_TOL
+        unit = resid / np.where(inspan, 1.0, norms)[..., None]
+        cos = unit[:, anchors] @ unit.transpose(0, 2, 1)
+        par = np.abs(cos, out=cos) > 1.0 - _PAR_TOL
+        grown = np.packbits(par, axis=2) | np.packbits(mask | inspan, axis=1)[:, None, :]
+        f, a = np.nonzero(~mask[:, anchors])
+        rows = grown[f, a]
+        fresh = []
+        for i, row in enumerate(rows):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        new_spans.append(np.column_stack([span[f[fresh]], anchors[a[fresh]]]))
+        new_packed.append(rows[fresh])
+    return np.concatenate(new_spans), np.concatenate(new_packed)
+
+
+def _fingerprints(av, ginv, vf, absvf, rvec, mults, span, packed, counts, width) -> np.ndarray:
+    """Grouping fingerprints of a chunk of flats of one corank, one row each.
+
+    A row holds the sorted member pairings |a_i(a_j-vee)| (padded to width**2
+    with +inf), the sorted merged-multiplicity profile of the projected
+    covectors (padded to n with +inf), and the sum, sum of squares and
+    maximum of the projected pairings |a^_i(a^_j-vee)| over non-members.  All
+    are invariant under symmetries of the parent, which act on covectors up
+    to sign.  Projected covectors are merged via a fixed random linear hash
+    of their sign-canonical rounded coordinates."""
+    n = av.shape[0]
+    mask = _unpack(packed, n)
     keep = ~mask
-    s = list(span)
-    m0 = vf[np.ix_(s, s)]
-    b = vf[s][:, keep]
+    m0 = vf[span[:, :, None], span[:, None, :]]
+    b = vf[span]
+    # projected covectors a^ = a - (m0^-1 b)^T a_span; m0 is symmetric, so
+    # the solve needs dim right-hand sides rather than n
     try:
-        x = np.linalg.solve(m0, b)
+        z = np.linalg.solve(m0, av[span])
     except np.linalg.LinAlgError:  # isotropic flat of an indefinite parent
-        x = np.linalg.lstsq(m0, b, rcond=None)[0]
-    ahat = av[keep] - x.T @ av[s]
+        z = np.stack([_solve_or_lstsq(m, r) for m, r in zip(m0, av[span])])
+    ahat = av - b.transpose(0, 2, 1) @ z
+    ahat[mask] = 0.0
+
     rows = np.round(ahat, _ROUND)
-    lead = rows[np.arange(rows.shape[0]), (np.abs(rows) > 10.0**-_ROUND).argmax(1)]
-    rows *= np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    proj = rows @ rvec
-    order = proj.argsort()
-    ps = proj[order]
-    starts = np.empty(ps.size, dtype=bool)
-    starts[0] = True
-    np.greater(np.abs(np.diff(ps)), 10.0**-_ROUND, out=starts[1:])
-    profile = np.add.reduceat(mults[keep][order], np.flatnonzero(starts))
-    profile = np.sort(np.round(profile, _ROUND))
-    vhat = np.abs(vf[keep][:, keep] - b.T @ x)
-    memvals = np.sort(np.round(absvf[mask][:, mask], _ROUND), axis=None)
-    return (
-        int(memvals.size),
-        len(span),
-        memvals.tobytes(),
-        profile.tobytes(),
-        round(float(vhat.sum()), 5),
-        round(float((vhat * vhat).sum()), 5),
-        round(float(vhat.max()), 7),
-    )
+    lead = np.take_along_axis(rows, (np.abs(rows) > 10.0**-_ROUND).argmax(2)[..., None], 2)
+    proj = (rows @ rvec) * np.where(lead[..., 0] < 0.0, -1.0, 1.0)
+    proj[mask] = np.inf  # members sort last, into one group of weight 0
+    order = proj.argsort(axis=1)
+    ps = np.take_along_axis(proj, order, 1)
+    starts = np.ones(ps.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf - inf between members
+        np.greater(np.abs(np.diff(ps, axis=1)), 10.0**-_ROUND, out=starts[:, 1:])
+    group = np.cumsum(starts, axis=1) - 1 + n * np.arange(len(ps))[:, None]
+    weight = np.take_along_axis(np.where(keep, mults, 0.0), order, 1)
+    profile = np.bincount(group.ravel(), weight.ravel(), minlength=ps.size).reshape(ps.shape)
+    profile = np.round(profile, _ROUND)
+    ngroups = np.count_nonzero(starts, axis=1) - 1
+    profile[np.arange(n) >= ngroups[:, None]] = np.inf
+    profile.sort(axis=1)
+
+    # a^_i(a^_j-vee) = a^_i G^-1 a^_j; the zeroed member rows of a^ drop
+    # members from both sides
+    dhat = ahat @ ginv
+    vhat = ahat @ dhat.transpose(0, 2, 1)
+    np.abs(vhat, out=vhat)  # in place: a second (chunk, n, n) array costs page faults
+    vsum = vhat.sum(axis=(1, 2))
+    vmax = vhat.max(axis=(1, 2))
+    # sum of squares as trace(a^T a . d^T d): dim x dim, not n x n
+    vsq = ((ahat.transpose(0, 2, 1) @ ahat) * (dhat.transpose(0, 2, 1) @ dhat)).sum(axis=(1, 2))
+
+    members = np.argsort(keep, axis=1, kind="stable")[:, :width]
+    members[np.arange(width) >= counts[:, None]] = n
+    memvals = absvf[members[:, :, None], members[:, None, :]].reshape(len(span), -1)
+    memvals.sort(axis=1)
+    return np.column_stack([
+        memvals, profile, np.round(vsum, 5), np.round(vsq, 5), np.round(vmax, _ROUND),
+    ])
+
+
+def _solve_or_lstsq(m0: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(m0, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(m0, b, rcond=None)[0]
 
 
 @dataclass(frozen=True)
@@ -255,17 +329,29 @@ def build_catalog(
     entries[root_entry.digest] = root_entry
     if max_corank > 0:
         for fc in enumerate_flat_classes(cfg, max_corank):
+            where = "flat spanned by %s" % list(fc.span_indices)
             handle = subsystem(cfg, fc.span_indices)
             if len(handle.member_indices) != fc.n_members:
-                raise CatalogError("float flat enumeration disagrees with exact members")
+                raise CatalogError(
+                    "%s: the float sweep counts %d members, the exact span closure %d"
+                    % (where, fc.n_members, len(handle.member_indices))
+                )
             res = restrict(cfg, handle)
             child = res.child
-            if any(r.residual != 0 for r in vee_residuals(child)):
-                raise CatalogError("restricted child failed the vee-condition")
+            bad = [r for r in vee_residuals(child) if r.residual != 0]
+            if bad:
+                raise CatalogError(
+                    "%s: the restricted child fails the vee-condition at %d series, "
+                    "first alpha %d, series %s, residual %s"
+                    % (where, len(bad), bad[0].alpha, list(bad[0].members), bad[0].residual)
+                )
             if child.dim >= 2:
                 child_lam = lambda_sq(child)
                 if child_lam != parent_lam:
-                    raise CatalogError("lambda^2 not preserved by restriction")
+                    raise CatalogError(
+                        "%s: the child's lambda^2 is %s, the parent's %s"
+                        % (where, child_lam, parent_lam)
+                    )
                 verified = True
             else:
                 child_lam = parent_lam

@@ -15,7 +15,7 @@ from .configuration import from_json_dict, to_json_dict
 from .exactla import rat
 from .families import family_spec, generate
 from .gamma import gamma_sq_direct, gamma_tilde_sq, gamma_tilde_sq_dual, root_data
-from .catalog import build_catalog
+from .catalog import CatalogError, build_catalog
 from .restriction import restrict
 from .veesystem import (
     NotProportionalError,
@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--rank", type=int)
     ca.add_argument("--param", action="append", metavar="NAME=VALUE")
     ca.add_argument("--max-corank", type=int, required=True)
-    ca.add_argument("--seed", type=int, default=0)
     ca.add_argument("-o", "--output")
     ca.set_defaults(func=_cmd_catalog)
     return ap
@@ -278,6 +277,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except CatalogError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 1
     except (InputError, ValueError, KeyError, ZeroDivisionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

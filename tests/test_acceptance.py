@@ -5,6 +5,7 @@ tolerances are pinned here and nowhere else.  Exact assertions use rational
 equality (zero tolerance); float residuals use the stated thresholds.
 """
 
+import os
 import random
 from fractions import Fraction as Q
 from itertools import combinations
@@ -245,6 +246,17 @@ def test_criterion_3_restriction_suite():
     assert lambda_sq(res.child) == 486 == lambda_sq(fd)
     assert pairing_profile(res.child) == pairing_profile(fd)
     _report("3 (restriction suite)", True)
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name,spec", _CATALOG_FAMILIES, ids=[n for n, _ in _CATALOG_FAMILIES])
+def test_catalog_matches_golden_fixture(name, spec):
+    """The corank-3 catalog is byte-identical to the recorded fixture,
+    span_indices included."""
+    with open(os.path.join(_GOLDEN, "catalog_%s.json" % name.lower())) as fh:
+        assert _catalog(name, spec).dumps() + "\n" == fh.read()
 
 
 def _gb_matrix(cfg, members):

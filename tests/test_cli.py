@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from trigvee.cli import main
 from trigvee.configuration import from_json_dict, to_json_dict
 from trigvee.families import family_spec, generate
@@ -123,3 +125,25 @@ def test_catalog_command(tmp_path, capsys):
 
 def test_gen_unknown_family_exit_2(capsys):
     assert run(capsys, "gen", "--family", "H3", "--rank", "3")[0] == 2
+
+
+def test_catalog_error_exit_1(monkeypatch, capsys):
+    from trigvee import catalog
+
+    real = catalog.enumerate_flat_classes
+
+    def miscounted(cfg, max_corank):
+        fc = real(cfg, max_corank)[0]
+        return [catalog.FlatClass(fc.span_indices, fc.n_members + 1, fc.corank, fc.class_size)]
+
+    monkeypatch.setattr(catalog, "enumerate_flat_classes", miscounted)
+    code, out, err = run(capsys, "catalog", "--family", "G2", "--max-corank", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: flat spanned by [0]: the float sweep counts 2 members")
+    assert "exact span closure 1" in err and "Traceback" not in err
+
+
+def test_catalog_seed_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--family", "G2", "--max-corank", "1", "--seed", "3"])
+    assert exc.value.code == 2
