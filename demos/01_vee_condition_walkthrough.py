@@ -10,7 +10,6 @@ vanishes.  Everything below is exact rational arithmetic.
 from fractions import Fraction as Q
 
 from trigvee import (
-    configuration,
     alpha_series,
     collinear_classes,
     g1,
@@ -18,6 +17,7 @@ from trigvee import (
     lambda_sq,
     vee_check,
 )
+from trigvee.configuration import configuration
 from trigvee.families import family_spec, generate
 
 # the positive half of BC2 with multiplicities r=s=q=1

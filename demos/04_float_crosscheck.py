@@ -5,7 +5,8 @@ evaluated at seeded random points; genuine solutions sit at residuals around
 machine precision, broken ones are many orders of magnitude above.
 """
 
-from trigvee import configuration, lambda_sq, vee_check
+from trigvee import lambda_sq, vee_check
+from trigvee.configuration import configuration
 from trigvee.families import family_spec, generate
 from trigvee.wdvv import associativity_residual, wdvv_residual
 

@@ -15,7 +15,6 @@ from .configuration import (
     ZeroMultiplicityWarning,
     c_delta,
     collinear_classes,
-    configuration,
     dual,
     duals,
     from_json_dict,

@@ -26,6 +26,8 @@ from .configuration import (
     Configuration,
     collinear_classes,
     duals,
+    float_view,
+    floats,
     gram_inverse,
     normalize_positive,
 )
@@ -72,20 +74,12 @@ def canonical_digest(cfg: Configuration) -> str:
     return hashlib.sha256(repr(pairing_profile(cfg)).encode()).hexdigest()[:16]
 
 
-def equivalent_profiles(a: Configuration, b: Configuration) -> bool:
-    return pairing_profile(a) == pairing_profile(b)
-
-
 @dataclass(frozen=True)
 class FlatClass:
     span_indices: tuple[int, ...]  # representative anchors spanning the flat
     n_members: int
     corank: int
     class_size: int
-
-
-def _float_matrix(rows) -> np.ndarray:
-    return np.array([[float(x) for x in r] for r in rows], dtype=float)
 
 
 _PAR_TOL = 1e-9
@@ -109,10 +103,9 @@ def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClas
     if max_corank == 0:
         return []
     n = len(cfg)
-    av = _float_matrix(cfg.covectors)
-    vf = av @ _float_matrix(duals(cfg)).T
-    ginv = _float_matrix(gram_inverse(cfg))
-    mults = np.array([float(c) for c in cfg.multiplicities])
+    av, mults, _ = float_view(cfg)
+    vf = av @ floats(duals(cfg)).T
+    ginv = floats(gram_inverse(cfg))
     classes = collinear_classes(cfg)
     chunk = max(1, _CHUNK_CELLS // (n * n))
     # |vf| rounded, with an extra +inf row and column that padded member

@@ -57,13 +57,18 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise InputError("expected comma-separated indices, got %r" % text)
 
 
-def _cmd_gen(args) -> int:
+def _parse_params(items) -> dict:
     params = {}
-    for item in args.param or []:
+    for item in items or []:
         if "=" not in item:
             raise InputError("--param expects name=value, got %r" % item)
         k, v = item.split("=", 1)
         params[k] = rat(v)
+    return params
+
+
+def _cmd_gen(args) -> int:
+    params = _parse_params(args.param)
     partition = None if args.partition is None else _parse_indices(args.partition)
     spec = family_spec(args.family, rank=args.rank, partition=partition, **params)
     cfg = generate(spec)
@@ -188,10 +193,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    params = {}
-    for item in args.param or []:
-        k, v = item.split("=", 1)
-        params[k] = rat(v)
+    params = _parse_params(args.param)
     if not params:
         names = {"E6": "t", "E7": "t", "E8": "t", "A": "t", "D": "t"}
         if args.family in names:

@@ -2,8 +2,9 @@
 
 The pair (covectors, multiplicities) determines the weighted Gram form, dual
 vectors, collinearity classes with their weighted sums, and a positive-system
-normalization.  All values are immutable and hashable, so derived data is
-memoized per configuration.
+normalization.  Configurations are immutable, so derived data, exact and
+float, is computed once and kept on the instance itself (``memo``): it is
+freed with the configuration, and equality and hashing see only the fields.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping
+from functools import wraps
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .exactla import (
     Mat,
@@ -22,7 +25,6 @@ from .exactla import (
     is_zero_vec,
     mat_vec,
     primitive,
-    rat,
     vec,
 )
 
@@ -71,7 +73,21 @@ def configuration(dim: int, covectors: Iterable[Iterable], multiplicities: Itera
     return Configuration(dim, tuple(vec(a) for a in covectors), vec(multiplicities), name)
 
 
-@lru_cache(maxsize=None)
+def memo(fn):
+    """Cache fn(cfg) in cfg.__dict__, as functools.cached_property does."""
+    key = "_memo_" + fn.__name__
+
+    @wraps(fn)
+    def cached(cfg: Configuration):
+        memos = cfg.__dict__
+        if key not in memos:
+            memos[key] = fn(cfg)
+        return memos[key]
+
+    return cached
+
+
+@memo
 def gram(cfg: Configuration) -> Mat:
     """The weighted Gram form: sum of c_a * (a (x) a) as an N x N matrix."""
     n = cfg.dim
@@ -87,7 +103,7 @@ def gram(cfg: Configuration) -> Mat:
     return tuple(tuple(row) for row in g)
 
 
-@lru_cache(maxsize=None)
+@memo
 def gram_inverse(cfg: Configuration) -> Mat:
     return invert(gram(cfg))
 
@@ -97,10 +113,30 @@ def dual(cfg: Configuration, gamma: Iterable) -> Vec:
     return mat_vec(gram_inverse(cfg), vec(gamma))
 
 
-@lru_cache(maxsize=None)
+@memo
 def duals(cfg: Configuration) -> tuple[Vec, ...]:
     gi = gram_inverse(cfg)
     return tuple(mat_vec(gi, a) for a in cfg.covectors)
+
+
+def floats(rows) -> np.ndarray:
+    """A read-only float64 array of exact rational data."""
+    out = np.array(rows, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+class FloatView(NamedTuple):
+    covectors: np.ndarray  # one row per covector
+    multiplicities: np.ndarray
+    gram: np.ndarray
+
+
+@memo
+def float_view(cfg: Configuration) -> FloatView:
+    """Read-only float64 copies of the covectors, multiplicities and Gram form."""
+    covs = floats(cfg.covectors).reshape(len(cfg), cfg.dim)
+    return FloatView(covs, floats(cfg.multiplicities), floats(gram(cfg)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +151,7 @@ class CollinearClass:
         return tuple(i for i, _ in self.members)
 
 
-@lru_cache(maxsize=None)
+@memo
 def collinear_classes(cfg: Configuration) -> tuple[CollinearClass, ...]:
     """Partition of the covector indices into proportionality classes."""
     buckets: dict[Vec, list[int]] = {}
@@ -176,7 +212,8 @@ def normalize_positive(cfg: Configuration, functional: Iterable | None = None) -
 
     Exact duplicates are merged with summed multiplicities; merged
     multiplicities of zero are dropped with a ZeroMultiplicityWarning.  The
-    Gram form is unchanged by this operation.
+    Gram form is unchanged by this operation.  When nothing changes, cfg
+    itself is returned, so its memoized data is shared.
     """
     phi = auto_functional(cfg) if functional is None else vec(functional)
     merged: dict[Vec, Fraction] = {}
@@ -204,6 +241,8 @@ def normalize_positive(cfg: Configuration, functional: Iterable | None = None) -
             ZeroMultiplicityWarning,
             stacklevel=2,
         )
+    if (tuple(covs), tuple(mults)) == (cfg.covectors, cfg.multiplicities):
+        return cfg
     return Configuration(cfg.dim, tuple(covs), tuple(mults), cfg.name)
 
 

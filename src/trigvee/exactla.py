@@ -8,7 +8,7 @@ hashed freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -51,14 +51,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(c: Fraction, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
@@ -80,15 +72,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
-
-
-def is_symmetric(m: Mat) -> bool:
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 def outer(u: Vec, v: Vec) -> Mat:
     return tuple(tuple(a * b for b in v) for a in u)
 
@@ -101,13 +84,11 @@ def mat_scale(c: Fraction, m: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in m)
 
 
-def _scaled_int_rows(m: Mat) -> tuple[list[list[int]], int]:
-    """Clear denominators: return (L*m as int rows, L)."""
-    scale = 1
-    for row in m:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    return [[int(x * scale) for x in row] for row in m], scale
+def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The common denominator L of all entries and the rows times L, as ints."""
+    rows = list(rows)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def invert(m: Mat) -> Mat:
@@ -123,7 +104,7 @@ def invert(m: Mat) -> Mat:
         raise ValueError("matrix is not square")
     if n == 0:
         return ()
-    a, scale = _scaled_int_rows(m)
+    a, scale = clear_denominators(m)
     aug = [list(row) + [scale if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
     prev = 1
     for k in range(n):
@@ -210,13 +191,8 @@ def in_row_span(red: list[list[Fraction]], pivots: list[int], v: Sequence[Fracti
 
 def primitive(v: Sequence[Fraction]) -> Vec:
     """Integer-primitive representative of the ray through v, positive leading entry."""
-    den = lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * den) for x in v]
-    from math import gcd
-
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    (ints,), _ = clear_denominators([v])
+    g = gcd(*ints)
     if g == 0:
         return tuple(Fraction(0) for _ in v)
     lead = next(x for x in ints if x != 0)

@@ -12,19 +12,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 
 from .configuration import (
     Configuration,
     collinear_classes,
     duals,
     gram,
+    memo,
     normalize_positive,
 )
 from .exactla import (
     Mat,
     Vec,
+    clear_denominators,
     dot,
     rank,
     rref,
@@ -50,7 +50,7 @@ class NotEigenError(ValueError):
 # --- the forms on Lambda^2 V -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def g1(cfg: Configuration) -> Mat:
     """First canonical form on Lambda^2 V: sum of c_a c_b (a ^ b)^2.
 
@@ -80,12 +80,8 @@ def _g2_sum(cfg: Configuration) -> Mat:
     n = len(cfg)
     pairs = wedge_pairs(cfg.dim)
     np_ = len(pairs)
-    if n == 0 or np_ == 0:
-        return tuple(tuple(Fraction(0) for _ in range(np_)) for _ in range(np_))
-    lc = lcm(*(x.denominator for a in cfg.covectors for x in a))
-    lm = lcm(*(c.denominator for c in cfg.multiplicities))
-    ai = [tuple(int(x * lc) for x in a) for a in cfg.covectors]
-    mi = [int(c * lm) for c in cfg.multiplicities]
+    ai, lc = clear_denominators(cfg.covectors)
+    (mi,), lm = clear_denominators([cfg.multiplicities])
     bi = None  # duals are only needed once some wedge is nonzero
     ld = 1
 
@@ -97,13 +93,11 @@ def _g2_sum(cfg: Configuration) -> Mat:
             w = tuple(
                 2 * (aii[p] * ai[j][q] - aii[q] * ai[j][p]) for (p, q) in pairs
             )
-            wmax = max(abs(x) for x in w)
+            wmax = max(map(abs, w), default=0)
             if wmax == 0:
                 continue
             if bi is None:
-                dv = duals(cfg)
-                ld = lcm(*(x.denominator for d in dv for x in d))
-                bi = [tuple(int(x * ld) for x in d) for d in dv]
+                bi, ld = clear_denominators(duals(cfg))
             nij = sum(x * y for x, y in zip(aii, bi[j]))
             if nij == 0:
                 continue
@@ -112,10 +106,7 @@ def _g2_sum(cfg: Configuration) -> Mat:
             terms.append((s, w))
 
     den = lm * lm * lc**5 * ld
-    if not terms:
-        return tuple(tuple(Fraction(0) for _ in range(np_)) for _ in range(np_))
-
-    if bound < 2**62:
+    if terms and bound < 2**62:
         import numpy
 
         w_arr = numpy.array([w for _, w in terms], dtype=numpy.int64)
@@ -136,13 +127,13 @@ def _g2_sum(cfg: Configuration) -> Mat:
     return tuple(tuple(Fraction(x, den) for x in row) for row in acc2)
 
 
-@lru_cache(maxsize=None)
+@memo
 def g2(cfg: Configuration) -> Mat:
     """Second canonical form, computed over the positive normalization of cfg."""
     return _g2_sum(normalize_positive(cfg))
 
 
-@lru_cache(maxsize=None)
+@memo
 def lambda_sq(cfg: Configuration) -> Fraction:
     """The unique ratio with G1 = (lambda^2 / 4) * G2, checked on all entries."""
     a = g1(cfg)
@@ -260,7 +251,7 @@ def g2_positive_flip_invariant(cfg: Configuration, flips: int = 2, seed: int = 7
     the sign of a random set of collinearity classes while keeping the result
     a genuine positive system, and compares the form sums exactly.
     """
-    base = _g2_sum(normalize_positive(cfg))
+    base = g2(cfg)
     rng = random.Random(seed)
     for _ in range(flips):
         phi = _random_functional(cfg, rng)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import Configuration, duals, gram
+from .configuration import Configuration, duals, float_view, floats, memo
 
 
 class PoleTooCloseError(ValueError):
@@ -50,28 +50,26 @@ class AssociativityReport:
     agrees_with_wdvv: bool
 
 
-def _float_covectors(cfg: Configuration) -> np.ndarray:
-    return np.array([[float(x) for x in a] for a in cfg.covectors], dtype=float)
-
-
-def _float_mults(cfg: Configuration) -> np.ndarray:
-    return np.array([float(c) for c in cfg.multiplicities], dtype=float)
-
-
 def _lambda_from_sq(lambda_sq) -> complex:
     # principal square root; the verdict depends on lambda^2 only
     return complex(np.sqrt(complex(float(lambda_sq))))
 
 
-DEFAULT_GUARD = 1.0 / 20
+# Smallest |sin a(x)| over the covectors that a sample point may have.
+POLE_GUARD = 1.0 / 20
 
 
-def sample_points(
-    cfg: Configuration, points: int, seed: int, guard: float = DEFAULT_GUARD
-) -> list[SamplePoint]:
+@memo
+def float_duals(cfg: Configuration) -> np.ndarray:
+    """The duals as floats; converted on first need, since they exist only for
+    a nonsingular Gram form."""
+    return floats(duals(cfg)).reshape(len(cfg), cfg.dim)
+
+
+def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoint]:
     """Seeded points with min over covectors of |sin a(x)| above the pole guard."""
     rng = np.random.default_rng(seed)
-    av = _float_covectors(cfg)
+    av = float_view(cfg).covectors
     out: list[SamplePoint] = []
     tries = 0
     while len(out) < points:
@@ -80,7 +78,7 @@ def sample_points(
             raise PoleTooCloseError("could not find enough pole-free sample points")
         x = rng.uniform(-2.0, 2.0, cfg.dim)
         ms = float(np.min(np.abs(np.sin(av @ x)))) if len(cfg) else 1.0
-        if ms >= guard:
+        if ms >= POLE_GUARD:
             out.append(SamplePoint(tuple(x), ms))
     return out
 
@@ -88,14 +86,22 @@ def sample_points(
 def base_form(cfg: Configuration) -> np.ndarray:
     """The constant (N+1)x(N+1) matrix of y-derivatives: 2*blockdiag(sum c a(x)a, 1)."""
     n = cfg.dim
-    g = np.array([[float(x) for x in row] for row in gram(cfg)])
     f = np.zeros((n + 1, n + 1))
-    f[:n, :n] = 2.0 * g
+    f[:n, :n] = 2.0 * float_view(cfg).gram
     f[n, n] = 2.0
     return f
 
 
-def third_derivs(cfg: Configuration, lam: complex, pt: SamplePoint, guard: float = DEFAULT_GUARD):
+def _cot(cfg: Configuration, pt: SamplePoint) -> np.ndarray:
+    """cot a(x) for every covector a, once the point passes the pole guard."""
+    vals = float_view(cfg).covectors @ np.asarray(pt.x)
+    s = np.sin(vals)
+    if len(cfg) and float(np.min(np.abs(s))) < POLE_GUARD:
+        raise PoleTooCloseError("sample point violates the pole guard")
+    return np.cos(vals) / s
+
+
+def third_derivs(cfg: Configuration, lam: complex, pt: SamplePoint):
     """All N+1 third-derivative matrices at a sample point.
 
     The trig part contributes lam * c_a a_i a_p a_q cot a(x) to the top-left
@@ -103,14 +109,8 @@ def third_derivs(cfg: Configuration, lam: complex, pt: SamplePoint, guard: float
     the base form F_{N+1}.
     """
     n = cfg.dim
-    av = _float_covectors(cfg)
-    c = _float_mults(cfg)
-    x = np.asarray(pt.x)
-    vals = av @ x
-    s = np.sin(vals)
-    if len(cfg) and float(np.min(np.abs(s))) < guard:
-        raise PoleTooCloseError("sample point violates the pole guard")
-    cot = np.cos(vals) / s
+    av, c, _ = float_view(cfg)
+    cot = _cot(cfg, pt)
     gm = (av.T * c) @ av
     dtype = complex if isinstance(lam, complex) and lam.imag != 0 else float
     lam_ = lam if dtype is complex else lam.real
@@ -132,11 +132,10 @@ def wdvv_residual(
     points: int = 20,
     seed: int = 42,
     tol: float = 1e-8,
-    guard: float = DEFAULT_GUARD,
 ) -> ResidualReport:
     """Max scaled commutator residual of F_i F_{N+1}^{-1} F_j over seeded points."""
     lam = _lambda_from_sq(lambda_sq)
-    pts = sample_points(cfg, points, seed, guard)
+    pts = sample_points(cfg, points, seed)
     base = base_form(cfg)
     if np.linalg.cond(base) > 1e12:
         raise SingularBaseFormError("base form is numerically singular")
@@ -145,7 +144,7 @@ def wdvv_residual(
     worst = 0.0
     n = cfg.dim
     for pt in pts:
-        mats = third_derivs(cfg, lam, pt, guard)
+        mats = third_derivs(cfg, lam, pt)
         prods = [m @ binv for m in mats[:n]]
         norms = [np.linalg.norm(m) for m in mats[:n]]
         for i in range(n):
@@ -156,7 +155,7 @@ def wdvv_residual(
     return ResidualReport(worst, tol, bool(worst < tol), seed, points)
 
 
-def product(cfg: Configuration, lam: complex, pt: SamplePoint, a, b, guard: float = DEFAULT_GUARD):
+def product(cfg: Configuration, lam: complex, pt: SamplePoint, a, b):
     """The tangent-space product of two vectors of V + U at a sample point.
 
     On V it is sum over covectors of c w(a) w(b) ((lam/2) cot w(x) w-vee + E),
@@ -165,21 +164,12 @@ def product(cfg: Configuration, lam: complex, pt: SamplePoint, a, b, guard: floa
     n = cfg.dim
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    av = _float_covectors(cfg)
-    c = _float_mults(cfg)
-    x = np.asarray(pt.x)
-    vals = av @ x
-    s = np.sin(vals)
-    if len(cfg) and float(np.min(np.abs(s))) < guard:
-        raise PoleTooCloseError("sample point violates the pole guard")
-    cot = np.cos(vals) / s
+    av, c, _ = float_view(cfg)
+    cot = _cot(cfg, pt)
     coef = c * (av @ a[:n]) * (av @ b[:n])
     out = np.zeros(n + 1, dtype=complex)
-    if np.any(coef):
-        # duals only exist for a nonsingular Gram form, which the weighted
-        # sum does not need when every coefficient vanishes
-        dv = np.array([[float(x_) for x_ in d] for d in duals(cfg)])
-        out[:n] = (lam / 2.0) * (coef * cot) @ dv
+    if np.any(coef):  # with every coefficient zero the duals are not needed
+        out[:n] = (lam / 2.0) * (coef * cot) @ float_duals(cfg)
     out[n] = coef.sum()
     out += b[n] * np.concatenate([a[:n], [0.0]])
     out += a[n] * np.concatenate([b[:n], [0.0]])
@@ -194,7 +184,6 @@ def associativity_residual(
     seed: int = 42,
     tol: float = 1e-8,
     triples: int = 4,
-    guard: float = DEFAULT_GUARD,
 ) -> AssociativityReport:
     """Max scaled residual of (a*b)*c - a*(b*c) over seeded points and triples.
 
@@ -202,20 +191,20 @@ def associativity_residual(
     the two verdicts agree.
     """
     lam = _lambda_from_sq(lambda_sq)
-    pts = sample_points(cfg, points, seed, guard)
+    pts = sample_points(cfg, points, seed)
     rng = np.random.default_rng(seed + 1)
     n = cfg.dim
     worst = 0.0
     for pt in pts:
         for _ in range(triples):
             a, b, cc = (rng.uniform(-1.0, 1.0, n + 1) for _ in range(3))
-            ab = product(cfg, lam, pt, a, b, guard)
-            bc = product(cfg, lam, pt, b, cc, guard)
-            lhs = product(cfg, lam, pt, ab, cc, guard)
-            rhs = product(cfg, lam, pt, a, bc, guard)
+            ab = product(cfg, lam, pt, a, b)
+            bc = product(cfg, lam, pt, b, cc)
+            lhs = product(cfg, lam, pt, ab, cc)
+            rhs = product(cfg, lam, pt, a, bc)
             scale = 1.0 + np.linalg.norm(ab) * np.linalg.norm(cc) + np.linalg.norm(bc) * np.linalg.norm(a)
             worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
-    wd = wdvv_residual(cfg, lambda_sq, points, seed, tol, guard)
+    wd = wdvv_residual(cfg, lambda_sq, points, seed, tol)
     passed = bool(worst < tol)
     return AssociativityReport(
         worst, tol, passed, seed, points, wd.max_residual, passed == wd.passed
@@ -228,8 +217,7 @@ def trig_second_derivs(cfg: Configuration, lam: complex, x) -> np.ndarray:
     Central finite differences of this matrix reproduce the trig third
     derivatives; used to validate the analytic derivative rules.
     """
-    av = _float_covectors(cfg)
-    c = _float_mults(cfg)
+    av, c, _ = float_view(cfg)
     vals = av @ np.asarray(x)
     logs = np.log(np.abs(np.sin(vals)))
     return lam * (av.T * (c * logs)) @ av

@@ -127,6 +127,16 @@ def test_gen_unknown_family_exit_2(capsys):
     assert run(capsys, "gen", "--family", "H3", "--rank", "3")[0] == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "--family", "F4"],
+    ["catalog", "--family", "F4", "--max-corank", "1"],
+])
+def test_param_without_value_exit_2(command, capsys):
+    code, out, err = run(capsys, *command, "--param", "r")
+    assert code == 2 and out == ""
+    assert err == "error: --param expects name=value, got 'r'\n"
+
+
 def test_catalog_error_exit_1(monkeypatch, capsys):
     from trigvee import catalog
 

@@ -134,6 +134,20 @@ def test_normalize_positive_merges_and_flips():
     assert len(empty) == 0
 
 
+def test_normalize_positive_returns_unchanged_input_itself():
+    bc2 = generate(family_spec("BC", 2, r=1, s=1, q=1))
+    assert normalize_positive(bc2) is bc2
+    flipped = configuration(2, [[-1, 0], [0, 1]], [1, 1])
+    assert normalize_positive(flipped) is not flipped
+    merged = configuration(2, [[1, 0], [2, 0], [1, 0]], [1, 1, 1])
+    assert len(normalize_positive(merged)) == 2
+
+    zero = configuration(2, [[1, 0], [0, 1]], [0, 1])
+    with pytest.warns(ZeroMultiplicityWarning):
+        out = normalize_positive(zero)
+    assert out is not zero and out.covectors == (vec([0, 1]),)
+
+
 def test_normalize_positive_idempotent_and_gram_invariant():
     cfg = configuration(2, [[1, 0], [-1, 0], [1, 2], [-2, 1]], [1, 2, Q(1, 3), 1])
     out = normalize_positive(cfg)

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from trigvee import catalog
-from trigvee.catalog import FlatClass, _float_matrix, enumerate_flat_classes
+from trigvee.catalog import FlatClass, enumerate_flat_classes
 from trigvee.configuration import collinear_classes, configuration, duals
 from trigvee.exactla import SingularMatrixError
 from trigvee.families import family_spec, generate, restricted_family
+
+
+def _float_matrix(rows):
+    return np.array([[float(x) for x in r] for r in rows], dtype=float)
 
 
 def reference_flats(cfg, max_corank):
