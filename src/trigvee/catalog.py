@@ -30,8 +30,8 @@ from .configuration import (
     floats,
     gram_inverse,
     normalize_positive,
+    pairings,
 )
-from .exactla import dot
 from .restriction import restrict
 from .veesystem import lambda_sq, subsystem, vee_residuals
 
@@ -54,18 +54,17 @@ def pairing_profile(cfg: Configuration) -> tuple:
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         cfg = normalize_positive(cfg)
-    dv = duals(cfg)
+    pm, den = pairings(cfg)
     n = len(cfg)
     diag = sorted(
-        (cfg.multiplicities[i], dot(cfg.covectors[i], dv[i])) for i in range(n)
+        (cfg.multiplicities[i], Fraction(pm[i][i], den)) for i in range(n)
     )
     off = []
     for i in range(n):
-        ai = cfg.covectors[i]
         for j in range(i + 1, n):
             ci, cj = cfg.multiplicities[i], cfg.multiplicities[j]
             lo, hi = (ci, cj) if ci <= cj else (cj, ci)
-            off.append((lo, hi, abs(dot(ai, dv[j]))))
+            off.append((lo, hi, Fraction(abs(pm[i][j]), den)))
     return (cfg.dim, tuple(diag), tuple(sorted(off)))
 
 

@@ -5,6 +5,8 @@ vectors, collinearity classes with their weighted sums, and a positive-system
 normalization.  Configurations are immutable, so derived data, exact and
 float, is computed once and kept on the instance itself (``memo``): it is
 freed with the configuration, and equality and hashing see only the fields.
+The exact vee-layer runs on one integer view per configuration, ``lattice``
+and ``pairings``, each over one common denominator.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -20,6 +23,7 @@ import numpy as np
 from .exactla import (
     Mat,
     Vec,
+    clear_denominators,
     dot,
     invert,
     is_zero_vec,
@@ -87,20 +91,29 @@ def memo(fn):
     return cached
 
 
+class Lattice(NamedTuple):
+    covectors: list[list[int]]  # the covectors times ``denominator``
+    denominator: int
+    multiplicities: list[int]  # the multiplicities times ``mult_denominator``
+    mult_denominator: int
+
+
+@memo
+def lattice(cfg: Configuration) -> Lattice:
+    """The covectors and the multiplicities, each cleared to integers."""
+    covs, den = clear_denominators(cfg.covectors)
+    (mults,), mult_den = clear_denominators([cfg.multiplicities])
+    return Lattice(covs, den, mults, mult_den)
+
+
 @memo
 def gram(cfg: Configuration) -> Mat:
     """The weighted Gram form: sum of c_a * (a (x) a) as an N x N matrix."""
-    n = cfg.dim
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for a, c in zip(cfg.covectors, cfg.multiplicities):
-        for i in range(n):
-            if a[i] == 0:
-                continue
-            cai = c * a[i]
-            row = g[i]
-            for j in range(n):
-                row[j] += cai * a[j]
-    return tuple(tuple(row) for row in g)
+    lat = lattice(cfg)
+    cols = list(zip(*lat.covectors)) or [()] * cfg.dim
+    weighted = [tuple(map(mul, lat.multiplicities, col)) for col in cols]
+    den = lat.mult_denominator * lat.denominator**2
+    return tuple(tuple(Fraction(sum(map(mul, w, col)), den) for col in cols) for w in weighted)
 
 
 @memo
@@ -117,6 +130,14 @@ def dual(cfg: Configuration, gamma: Iterable) -> Vec:
 def duals(cfg: Configuration) -> tuple[Vec, ...]:
     gi = gram_inverse(cfg)
     return tuple(mat_vec(gi, a) for a in cfg.covectors)
+
+
+@memo
+def pairings(cfg: Configuration) -> tuple[list[list[int]], int]:
+    """(P, D): the intrinsic pairings a_i(a_j-vee) = P[i][j] / D, P symmetric."""
+    lat = lattice(cfg)
+    dv, dual_den = clear_denominators(duals(cfg))
+    return [[sum(map(mul, a, b)) for b in dv] for a in lat.covectors], lat.denominator * dual_den
 
 
 def floats(rows) -> np.ndarray:

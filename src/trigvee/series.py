@@ -4,16 +4,15 @@ For a fixed covector alpha, two covectors g1, g2 outside alpha's collinearity
 class are related when g1 + g2 or g1 - g2 equals m * alpha with m an integer
 (m = 0 allowed).  The maximal classes of the induced equivalence partition
 the rest of the configuration; within one series all wedges alpha ^ g agree
-up to sign.
+up to sign.  The decomposition runs on the configuration's integer
+covectors (``configuration.lattice``), with integer bucket keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .configuration import Configuration
-from .exactla import Vec
+from .configuration import Configuration, lattice
 
 
 @dataclass(frozen=True)
@@ -28,49 +27,39 @@ class SeriesDecomposition:
         raise KeyError(index)
 
 
-def _floor_frac(w: Fraction) -> Fraction:
-    return w - (w.numerator // w.denominator)
-
-
-def _transverse_part(alpha: Vec, gamma: Vec, pivot: int) -> tuple[Vec, Fraction]:
-    """Write gamma = t*alpha + rho with rho[pivot] = 0; returns (rho, t)."""
-    t = gamma[pivot] / alpha[pivot]
-    rho = tuple(g - t * a for g, a in zip(gamma, alpha))
-    return rho, t
-
-
 def series_with_signs(
     cfg: Configuration, alpha_index: int, integral_steps: bool = True
 ) -> list[tuple[list[int], dict[int, int]]]:
     """Series together with the relative wedge signs of their members.
 
     For members b1, b2 of one series, alpha ^ b1 = s1*s2 * (alpha ^ b2) where
-    s_i are the returned signs.  Grouping key: two covectors are related iff
-    their sign-normalized transverse parts agree and the sign-weighted alpha
-    coefficients differ by an integer, which is the transitive closure of the
-    defining relation.
+    s_i are the returned signs.  On the integer covectors, with p the pivot
+    of alpha, rho = alpha_p*gamma - gamma_p*alpha is alpha_p times the part
+    of gamma transverse to alpha.  Two covectors are related iff their
+    sign-normalized rho agree and their steps (sign*gamma_p) mod |alpha_p|
+    agree, that is iff their sign-weighted alpha coefficients differ by an
+    integer; this is the transitive closure of the defining relation.
+    Series come in the order of their first member.
     """
-    alpha = cfg.covectors[alpha_index]
-    pivot = next(k for k in range(cfg.dim) if alpha[k] != 0)
+    covs = lattice(cfg).covectors
+    alpha = covs[alpha_index]
+    pivot = next(k for k, x in enumerate(alpha) if x != 0)
+    ap = alpha[pivot]
+    period, orient = abs(ap), (1 if ap > 0 else -1)
     buckets: dict[tuple, tuple[list[int], dict[int, int]]] = {}
-    order: list[tuple] = []
-    for g, gamma in enumerate(cfg.covectors):
-        rho, t = _transverse_part(alpha, gamma, pivot)
-        if all(x == 0 for x in rho):
+    for g, gamma in enumerate(covs):
+        gp = gamma[pivot]
+        rho = tuple(ap * x - gp * y for x, y in zip(gamma, alpha))
+        lead = next((x for x in rho if x != 0), 0)
+        if lead == 0:
             continue  # collinear with alpha: belongs to delta_alpha, not to any series
-        lead = next(x for x in rho if x != 0)
         sign = 1 if lead > 0 else -1
-        key_vec = tuple(sign * x for x in rho)
-        w = sign * t
-        step = _floor_frac(w) if integral_steps else Fraction(0)
-        key = (key_vec, step)
-        if key not in buckets:
-            buckets[key] = ([], {})
-            order.append(key)
-        members, signs = buckets[key]
+        step = sign * gp % period if integral_steps else 0
+        key = (rho if sign > 0 else tuple(-x for x in rho), step)
+        members, signs = buckets.setdefault(key, ([], {}))
         members.append(g)
-        signs[g] = sign
-    return [buckets[k] for k in order]
+        signs[g] = sign * orient  # the leading sign of gamma's transverse part
+    return list(buckets.values())
 
 
 def alpha_series(

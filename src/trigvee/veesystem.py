@@ -4,7 +4,8 @@ The check evaluates, for every covector alpha and every alpha-series, the
 signed scalar sum of c_b * alpha(b-vee) over the series; all wedges within a
 series agree up to sign, so the wedge factor cancels and a single rational
 residual remains per series.  The two canonical wedge forms determine the
-coupling ratio lambda^2 by exact proportionality.
+coupling ratio lambda^2 by exact proportionality.  Residuals, the second form
+and the isotropy test run in integers on the configuration's integer view.
 """
 
 from __future__ import annotations
@@ -12,14 +13,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .configuration import (
     Configuration,
     collinear_classes,
     duals,
     gram,
+    gram_inverse,
+    lattice,
     memo,
     normalize_positive,
+    pairings,
 )
 from .exactla import (
     Mat,
@@ -31,6 +36,7 @@ from .exactla import (
     in_row_span,
     vscale,
     wedge_pairs,
+    zero_wedge_form,
 )
 from .series import series_with_signs
 
@@ -73,58 +79,40 @@ def g1(cfg: Configuration) -> Mat:
 def _g2_sum(cfg: Configuration) -> Mat:
     """Second-form double sum over the configuration exactly as supplied.
 
-    Runs on integer-rescaled data (covectors, duals and multiplicities each
-    cleared to a common denominator) with a single exact division at the end;
-    accumulation uses numpy int64 when a bound check proves it safe.
+    The literal sum of c_a c_b a(b-vee) (a ^ b)^2 over all pairs collapses
+    through the third moment M[k][p][r] = sum of c_a a_k a_p a_r, as g1 does
+    through the Gram form: with T(pr, qs) = sum over k, l of
+    M[k][p][r] G^-1[k][l] M[l][q][s], which is symmetric in its two pairs,
+    G2(e_p ^ e_q, e_r ^ e_s) = 8*(T(pr, qs) - T(ps, qr)).  Runs on the
+    integer view with one division per entry, and agrees entrywise with the
+    literal sum (property-tested).  A single collinearity class has no
+    nonzero wedge, so its form is zero without inverting the Gram form.
     """
-    n = len(cfg)
-    pairs = wedge_pairs(cfg.dim)
-    np_ = len(pairs)
-    ai, lc = clear_denominators(cfg.covectors)
-    (mi,), lm = clear_denominators([cfg.multiplicities])
-    bi = None  # duals are only needed once some wedge is nonzero
-    ld = 1
+    n = cfg.dim
+    if len(collinear_classes(cfg)) <= 1:
+        return zero_wedge_form(n)
+    lat = lattice(cfg)
+    gi, gi_den = clear_denominators(gram_inverse(cfg))
+    moments = [[0] * (n * n) for _ in range(n)]  # row k holds M[k][p][r] at p*n + r
+    for a, c in zip(lat.covectors, lat.multiplicities):
+        for k in range(n):
+            cak = c * a[k]
+            row = moments[k]
+            for p in range(n):
+                cakp = cak * a[p]
+                for r in range(n):
+                    row[p * n + r] += cakp * a[r]
+    gim = [[sum(map(mul, gi_row, col)) for col in zip(*moments)] for gi_row in gi]
 
-    terms = []  # (scalar weight, integer wedge vector)
-    bound = 0
-    for i in range(n):
-        ami, aii = mi[i], ai[i]
-        for j in range(i + 1, n):
-            w = tuple(
-                2 * (aii[p] * ai[j][q] - aii[q] * ai[j][p]) for (p, q) in pairs
-            )
-            wmax = max(map(abs, w), default=0)
-            if wmax == 0:
-                continue
-            if bi is None:
-                bi, ld = clear_denominators(duals(cfg))
-            nij = sum(x * y for x, y in zip(aii, bi[j]))
-            if nij == 0:
-                continue
-            s = 2 * ami * mi[j] * nij
-            bound += abs(s) * wmax * wmax
-            terms.append((s, w))
+    def t(p, r, q, s):
+        return sum(m[p * n + r] * g[q * n + s] for m, g in zip(moments, gim))
 
-    den = lm * lm * lc**5 * ld
-    if terms and bound < 2**62:
-        import numpy
-
-        w_arr = numpy.array([w for _, w in terms], dtype=numpy.int64)
-        s_arr = numpy.array([s for s, _ in terms], dtype=numpy.int64)
-        acc = (w_arr * s_arr[:, None]).T @ w_arr
-        return tuple(
-            tuple(Fraction(int(acc[z][w]), den) for w in range(np_)) for z in range(np_)
-        )
-
-    acc2 = [[0] * np_ for _ in range(np_)]
-    for s, w in terms:
-        nz = [(z, x) for z, x in enumerate(w) if x != 0]
-        for z, wz in nz:
-            swz = s * wz
-            row = acc2[z]
-            for q, wq in nz:
-                row[q] += swz * wq
-    return tuple(tuple(Fraction(x, den) for x in row) for row in acc2)
+    den = lat.mult_denominator**2 * lat.denominator**6 * gi_den
+    pairs = wedge_pairs(n)
+    return tuple(
+        tuple(Fraction(8 * (t(p, r, q, s) - t(p, s, q, r)), den) for (r, s) in pairs)
+        for (p, q) in pairs
+    )
 
 
 @memo
@@ -198,17 +186,21 @@ class VeeReport:
 
 
 def vee_residuals(cfg: Configuration) -> tuple[SeriesResidual, ...]:
-    """Per-(alpha, series) signed residual of the vee-condition sum."""
-    dv = duals(cfg)
+    """Per-(alpha, series) signed residual of the vee-condition sum.
+
+    Sums multiplicity * pairing * sign over each series in integers on the
+    configuration's integer view, with one division per series.
+    """
+    pm, den = pairings(cfg)
+    lat = lattice(cfg)
+    mults, den = lat.multiplicities, den * lat.mult_denominator
     out = []
     for a in range(len(cfg)):
-        alpha = cfg.covectors[a]
+        row = pm[a]
         for members, signs in series_with_signs(cfg, a):
-            rep = members[0]
-            total = Fraction(0)
-            for b in members:
-                total += cfg.multiplicities[b] * dot(alpha, dv[b]) * signs[b]
-            out.append(SeriesResidual(a, tuple(sorted(members)), signs[rep] * total))
+            total = sum(mults[b] * row[b] * signs[b] for b in members)
+            residual = Fraction(signs[members[0]] * total, den)
+            out.append(SeriesResidual(a, tuple(sorted(members)), residual))
     return tuple(out)
 
 
@@ -319,20 +311,11 @@ def subsystem(cfg: Configuration, span_indices) -> SubsystemHandle:
     dv = duals(cfg)
     wdual = tuple(dv[i] for i in basis_idx)
     k = len(basis_idx)
+    # the Gram form of the members on the duals of the basis, scaled to integers
+    pm, mults = pairings(cfg)[0], lattice(cfg).multiplicities
     gb = [
-        [
-            sum(
-                (
-                    cfg.multiplicities[m]
-                    * dot(cfg.covectors[m], u)
-                    * dot(cfg.covectors[m], v)
-                    for m in members
-                ),
-                Fraction(0),
-            )
-            for v in wdual
-        ]
-        for u in wdual
+        [sum(mults[m] * pm[m][u] * pm[m][v] for m in members) for v in basis_idx]
+        for u in basis_idx
     ]
     isotropic = rank(gb) < k
     return SubsystemHandle(

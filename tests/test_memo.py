@@ -16,13 +16,15 @@ from trigvee.configuration import (
     from_json_dict,
     gram,
     gram_inverse,
+    lattice,
+    pairings,
     to_json_dict,
 )
 from trigvee.families import family_spec, generate
 from trigvee.veesystem import g1, g2, lambda_sq, vee_check
 from trigvee.wdvv import float_duals
 
-EXACT = (gram, gram_inverse, duals, collinear_classes, g1, g2, lambda_sq)
+EXACT = (lattice, gram, gram_inverse, duals, pairings, collinear_classes, g1, g2, lambda_sq)
 
 
 def _float_views(cfg):

@@ -149,6 +149,29 @@ def test_associativity_agrees_with_wdvv():
     assert rep.agrees_with_wdvv
 
 
+def test_associativity_shares_points_with_commutator_check(monkeypatch):
+    import trigvee.wdvv as wdvv_mod
+
+    calls = []
+
+    def counting(cfg, points, seed):
+        calls.append((points, seed))
+        return sample_points(cfg, points, seed)
+
+    monkeypatch.setattr(wdvv_mod, "sample_points", counting)
+    for cfg, lam in [
+        (generate(family_spec("BC", 2, r=1, s=1, q=1)), None),
+        (configuration(2, [[1, 0], [0, 1], [1, 2]], [1, 1, 1]), 1),
+    ]:
+        lam = lambda_sq(cfg) if lam is None else lam
+        calls.clear()
+        rep = associativity_residual(cfg, lam, points=6, seed=5, tol=1e-8)
+        assert calls == [(6, 5)]
+        wd = wdvv_residual(cfg, lam, points=6, seed=5, tol=1e-8)
+        assert rep.wdvv_max_residual == wd.max_residual
+        assert rep.agrees_with_wdvv == (rep.passed == wd.passed)
+
+
 def test_associativity_lambda_perturbation_detected():
     cfg = generate(family_spec("BC", 2, r=1, s=1, q=1))
     rep = associativity_residual(cfg, lambda_sq(cfg) + 1, points=8, seed=42, tol=1e-8)
