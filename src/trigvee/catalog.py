@@ -319,48 +319,47 @@ def build_catalog(
         family, params, 0, (), len(cfg), 1, canonical_digest(cfg), parent_lam, len(cfg), cfg.dim
     )
     entries[root_entry.digest] = root_entry
-    if max_corank > 0:
-        for fc in enumerate_flat_classes(cfg, max_corank):
-            where = "flat spanned by %s" % list(fc.span_indices)
-            handle = subsystem(cfg, fc.span_indices)
-            if len(handle.member_indices) != fc.n_members:
+    for fc in enumerate_flat_classes(cfg, max_corank):
+        where = "flat spanned by %s" % list(fc.span_indices)
+        handle = subsystem(cfg, fc.span_indices)
+        if len(handle.member_indices) != fc.n_members:
+            raise CatalogError(
+                "%s: the float sweep counts %d members, the exact span closure %d"
+                % (where, fc.n_members, len(handle.member_indices))
+            )
+        res = restrict(cfg, handle)
+        child = res.child
+        bad = [r for r in vee_residuals(child) if r.residual != 0]
+        if bad:
+            raise CatalogError(
+                "%s: the restricted child fails the vee-condition at %d series, "
+                "first alpha %d, series %s, residual %s"
+                % (where, len(bad), bad[0].alpha, list(bad[0].members), bad[0].residual)
+            )
+        if child.dim >= 2:
+            child_lam = lambda_sq(child)
+            if child_lam != parent_lam:
                 raise CatalogError(
-                    "%s: the float sweep counts %d members, the exact span closure %d"
-                    % (where, fc.n_members, len(handle.member_indices))
+                    "%s: the child's lambda^2 is %s, the parent's %s"
+                    % (where, child_lam, parent_lam)
                 )
-            res = restrict(cfg, handle)
-            child = res.child
-            bad = [r for r in vee_residuals(child) if r.residual != 0]
-            if bad:
-                raise CatalogError(
-                    "%s: the restricted child fails the vee-condition at %d series, "
-                    "first alpha %d, series %s, residual %s"
-                    % (where, len(bad), bad[0].alpha, list(bad[0].members), bad[0].residual)
-                )
-            if child.dim >= 2:
-                child_lam = lambda_sq(child)
-                if child_lam != parent_lam:
-                    raise CatalogError(
-                        "%s: the child's lambda^2 is %s, the parent's %s"
-                        % (where, child_lam, parent_lam)
-                    )
-                verified = True
-            else:
-                child_lam = parent_lam
-                verified = False
-            digest = canonical_digest(child)
-            if digest in entries:
-                old = entries[digest]
-                entries[digest] = CatalogEntry(
-                    family, params, old.corank, old.span_indices, old.n_members,
-                    old.class_size + fc.class_size, digest, child_lam,
-                    old.covector_count, old.child_dim, old.lambda_verified,
-                )
-            else:
-                entries[digest] = CatalogEntry(
-                    family, params, fc.corank, fc.span_indices, len(handle.member_indices),
-                    fc.class_size, digest, child_lam, len(child), child.dim, verified,
-                )
+            verified = True
+        else:
+            child_lam = parent_lam
+            verified = False
+        digest = canonical_digest(child)
+        if digest in entries:
+            old = entries[digest]
+            entries[digest] = CatalogEntry(
+                family, params, old.corank, old.span_indices, old.n_members,
+                old.class_size + fc.class_size, digest, child_lam,
+                old.covector_count, old.child_dim, old.lambda_verified,
+            )
+        else:
+            entries[digest] = CatalogEntry(
+                family, params, fc.corank, fc.span_indices, len(handle.member_indices),
+                fc.class_size, digest, child_lam, len(child), child.dim, verified,
+            )
     ordered = tuple(
         sorted(entries.values(), key=lambda e: (e.corank, e.child_dim, e.digest))
     )

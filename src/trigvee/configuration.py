@@ -5,8 +5,8 @@ vectors, collinearity classes with their weighted sums, and a positive-system
 normalization.  Configurations are immutable, so derived data, exact and
 float, is computed once and kept on the instance itself (``memo``): it is
 freed with the configuration, and equality and hashing see only the fields.
-The exact vee-layer runs on one integer view per configuration, ``lattice``
-and ``pairings``, each over one common denominator.
+The exact vee-layer runs on one integer view per configuration, ``lattice``,
+``gram_inverse_cleared`` and ``pairings``, each over one common denominator.
 """
 
 from __future__ import annotations
@@ -133,11 +133,18 @@ def duals(cfg: Configuration) -> tuple[Vec, ...]:
 
 
 @memo
+def gram_inverse_cleared(cfg: Configuration) -> tuple[list[list[int]], int]:
+    """(H, D): the Gram inverse as the integer matrix H over one denominator D."""
+    return clear_denominators(gram_inverse(cfg))
+
+
+@memo
 def pairings(cfg: Configuration) -> tuple[list[list[int]], int]:
     """(P, D): the intrinsic pairings a_i(a_j-vee) = P[i][j] / D, P symmetric."""
     lat = lattice(cfg)
-    dv, dual_den = clear_denominators(duals(cfg))
-    return [[sum(map(mul, a, b)) for b in dv] for a in lat.covectors], lat.denominator * dual_den
+    gi, gi_den = gram_inverse_cleared(cfg)
+    dv = [[sum(map(mul, row, a)) for row in gi] for a in lat.covectors]
+    return [[sum(map(mul, a, b)) for b in dv] for a in lat.covectors], lat.denominator**2 * gi_den
 
 
 def floats(rows) -> np.ndarray:
@@ -310,9 +317,18 @@ def to_json_dict(cfg: Configuration) -> dict:
     return d
 
 
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError("%s must be a JSON list, got %r" % (what, x))
+    return x
+
+
 def from_json_dict(d: Mapping) -> Configuration:
-    if not isinstance(d.get("dim"), int):
+    if not isinstance(d.get("dim"), int) or isinstance(d["dim"], bool):
         raise ValueError("missing or non-integer 'dim'")
-    covs = [tuple(_rat_from_json(x) for x in a) for a in d["covectors"]]
-    mults = [_rat_from_json(c) for c in d["multiplicities"]]
+    covs = [
+        tuple(_rat_from_json(x) for x in _json_list(a, "a covector"))
+        for a in _json_list(d["covectors"], "'covectors'")
+    ]
+    mults = [_rat_from_json(c) for c in _json_list(d["multiplicities"], "'multiplicities'")]
     return Configuration(d["dim"], tuple(covs), tuple(mults), d.get("name"))

@@ -91,102 +91,83 @@ def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[in
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def invert(m: Mat) -> Mat:
-    """Exact inverse of a square rational matrix.
+def _gauss_jordan(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) on the cleared rows.
 
-    Fraction-free (Bareiss) forward elimination on the integer matrix
-    obtained by clearing denominators, followed by rational back
-    substitution on the triangular system.  Intermediate entries stay
-    integral with bounded growth.
+    Returns (R, pivots, d): the nonzero reduced rows in integers, their pivot
+    columns and the last pivot.  R / d is the reduced row echelon form, since
+    R[i][pivots[i]] == d and every other entry of a pivot column is zero.
+    Each step divides exactly by the previous pivot, so the entries stay
+    minors of the cleared input instead of growing.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return ()
-    a, scale = clear_denominators(m)
-    aug = [list(row) + [scale if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if aug[r][k] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        for i in range(k + 1, n):
-            aik = aug[i][k]
-            rowi, rowk = aug[i], aug[k]
-            for j in range(k, 2 * n):
-                rowi[j] = (pk * rowi[j] - aik * rowk[j]) // prev
-        prev = pk
-    if aug[n - 1][n - 1] == 0:
-        raise SingularMatrixError("matrix is singular")
-    # back substitution, one column of the inverse at a time
-    cols = []
-    for c in range(n, 2 * n):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = Fraction(aug[i][c])
-            for j in range(i + 1, n):
-                s -= aug[i][j] * x[j]
-            x[i] = s / aug[i][i]
-        cols.append(x)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
-    a = [list(map(rat, r)) for r in rows]
-    if not a:
-        return [], []
-    ncols = len(a[0])
+    a, _ = clear_denominators(map(vec, rows))
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        top, p = a[r], a[r][c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(a):
+        if len(pivots) == len(a):
             break
-    return a[:r], pivots
+    return a[: len(pivots)], pivots, prev
+
+
+def invert(m: Mat) -> Mat:
+    """Exact inverse of a square rational matrix: the right-hand block of the
+    reduced [m | I]."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    augmented = ([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m))
+    red, pivots, d = _gauss_jordan(augmented)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in red)
+
+
+def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
+    red, pivots, d = _gauss_jordan(rows)
+    return [[Fraction(x, d) for x in row] for row in red], pivots
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(_gauss_jordan(rows)[1])
+
+
+def independent(rows: Iterable[Sequence]) -> list[int]:
+    """Positions of the first maximal independent subset of the rows, in order."""
+    return _gauss_jordan(transpose(tuple(rows)))[1]
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
     """Standard basis of the right nullspace from the RREF (deterministic)."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots, d = _gauss_jordan(rows)
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for row, p in zip(red, pivots):
+            v[p] = Fraction(-row[f], d)
         basis.append(tuple(v))
     return basis
 
 
 def in_row_span(red: list[list[Fraction]], pivots: list[int], v: Sequence[Fraction]) -> bool:
-    """Membership of v in the row space described by an RREF."""
-    w = list(map(rat, v))
-    for i, p in enumerate(pivots):
-        if w[p] != 0:
-            f = w[p]
-            w = [x - f * y for x, y in zip(w, red[i])]
-    return all(x == 0 for x in w)
+    """Membership of v in the row space described by an RREF: v must be the
+    combination of the rows whose coefficients are its pivot-column entries."""
+    w = vec(v)
+    coeffs = [w[p] for p in pivots]
+    return all(x == sum(c * row[j] for c, row in zip(coeffs, red)) for j, x in enumerate(w))
 
 
 def primitive(v: Sequence[Fraction]) -> Vec:

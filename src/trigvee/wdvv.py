@@ -68,6 +68,8 @@ def float_duals(cfg: Configuration) -> np.ndarray:
 
 def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoint]:
     """Seeded points with min over covectors of |sin a(x)| above the pole guard."""
+    if points < 1:
+        raise ValueError("the number of sample points must be positive, got %d" % points)
     rng = np.random.default_rng(seed)
     av = float_view(cfg).covectors
     out: list[SamplePoint] = []

@@ -85,3 +85,6 @@ def test_max_corank_bounds():
     cfg = generate(family_spec("BC", 2, r=1, s=1, q=1))
     with pytest.raises(ValueError):
         enumerate_flat_classes(cfg, 2)
+    for bad in (-1, -2, 2):
+        with pytest.raises(ValueError):
+            build_catalog(cfg, "BC", "r=1,s=1,q=1", bad)

@@ -157,3 +157,35 @@ def test_catalog_seed_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "--family", "G2", "--max-corank", "1", "--seed", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("blob", [
+    # strings are not rows: read as three covectors, this passed with lambda^2 = 36
+    {"dim": 2, "covectors": ["10", "01", "11"], "multiplicities": "111"},
+    {"dim": 2, "covectors": [["1", "0"], ["0", "1"]], "multiplicities": "11"},
+    {"dim": 2, "covectors": "1001", "multiplicities": ["1", "1"]},
+    # a bool passes the int check and was read as dimension 1
+    {"dim": True, "covectors": [["1"], ["2"]], "multiplicities": ["1", "1"]},
+])
+def test_check_malformed_shapes_exit_2(blob, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "check", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read configuration")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_wdvv_without_points_exit_2(samples, tmp_path, capsys):
+    path = tmp_path / "bc2.json"
+    run(capsys, "gen", "--family", "BC", "--rank", "2",
+        "--param", "r=1", "--param", "s=1", "--param", "q=1", "-o", str(path))
+    code, out, err = run(capsys, "wdvv", str(path), "--samples", samples, "--json")
+    assert code == 2 and out == ""
+    assert "sample points must be positive" in err
+
+
+def test_catalog_negative_corank_exit_2(capsys):
+    code, out, err = run(capsys, "catalog", "--family", "F4", "--max-corank", "-2")
+    assert code == 2 and out == ""
+    assert err == "error: max_corank must lie in [0, dim)\n"

@@ -1,0 +1,81 @@
+"""The positive-system probe of the second form runs on signs.
+
+Renormalizing against a functional phi turns each covector b of the positive
+view to sgn(b(phi)) * b and leaves the merged multiplicities as they are, so
+the probe evaluates the view's second form with those signs instead of
+building a new configuration per probe.  The per-probe renormalization the
+signs replaced is kept here as the oracle.
+"""
+
+import random
+import warnings
+from fractions import Fraction as Q
+
+from hypothesis import given, settings, strategies as st
+
+from test_integer_view import rational_configurations
+from trigvee import veesystem
+from trigvee.configuration import Configuration, from_json_dict, normalize_positive, to_json_dict
+from trigvee.exactla import dot
+from trigvee.families import family_spec, generate
+from trigvee.veesystem import _g2_sum, _random_functional, g2_positive_flip_invariant
+
+
+def oracle_flip_invariant(cfg, flips, seed):
+    base = _g2_sum(normalize_positive(cfg))
+    rng = random.Random(seed)
+    for _ in range(flips):
+        phi = _random_functional(cfg, rng)
+        if _g2_sum(normalize_positive(cfg, phi)) != base:
+            return False
+    return True
+
+
+@st.composite
+def configurations_with_cancelling_pairs(draw):
+    """Random configurations plus copies whose merged multiplicity is zero."""
+    cfg = draw(rational_configurations())
+    covs, mults = list(cfg.covectors), list(cfg.multiplicities)
+    for i, sign in draw(st.lists(st.tuples(st.integers(0, len(cfg) - 1), st.sampled_from([1, -1])),
+                                 max_size=2)):
+        covs.append(tuple(sign * x for x in cfg.covectors[i]))
+        mults.append(-sum(c for a, c in zip(covs, mults) if a in (covs[i], covs[-1])))
+    return Configuration(cfg.dim, tuple(covs), tuple(mults))
+
+
+@settings(max_examples=150, deadline=None)
+@given(configurations_with_cancelling_pairs(), st.integers(0, 2**16))
+def test_signed_probe_matches_per_probe_renormalization(cfg, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            expected = oracle_flip_invariant(cfg, 3, seed)
+        except ZeroDivisionError:  # singular Gram form
+            return
+        pos = normalize_positive(cfg)
+        rng = random.Random(seed)
+        for _ in range(3):
+            phi = _random_functional(cfg, rng)
+            signs = [1 if dot(b, phi) > 0 else -1 for b in pos.covectors]
+            assert _g2_sum(pos, signs) == _g2_sum(normalize_positive(cfg, phi))
+        assert g2_positive_flip_invariant(cfg, 3, seed) == expected
+
+
+def test_one_normalization_per_probe_call(monkeypatch):
+    calls = []
+    real = veesystem.normalize_positive
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(veesystem, "normalize_positive", counted)
+    bc3 = to_json_dict(generate(family_spec("BC", 3, r=1, s=2, q=Q(3, 2))))
+    flipped = dict(bc3, covectors=[[str(-Q(x)) for x in a] for a in bc3["covectors"]])
+    for blob in (bc3, flipped):
+        for flips in (0, 1, 5):
+            cfg = from_json_dict(blob)
+            for _ in range(2):
+                calls.clear()
+                assert g2_positive_flip_invariant(cfg, flips)
+                assert len(calls) <= 1

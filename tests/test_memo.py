@@ -16,6 +16,7 @@ from trigvee.configuration import (
     from_json_dict,
     gram,
     gram_inverse,
+    gram_inverse_cleared,
     lattice,
     pairings,
     to_json_dict,
@@ -24,7 +25,10 @@ from trigvee.families import family_spec, generate
 from trigvee.veesystem import g1, g2, lambda_sq, vee_check
 from trigvee.wdvv import float_duals
 
-EXACT = (lattice, gram, gram_inverse, duals, pairings, collinear_classes, g1, g2, lambda_sq)
+EXACT = (
+    lattice, gram, gram_inverse, gram_inverse_cleared, duals, pairings, collinear_classes,
+    g1, g2, lambda_sq,
+)
 
 
 def _float_views(cfg):
@@ -68,6 +72,13 @@ def test_float_views_are_read_only():
         assert not view.flags.writeable
         with pytest.raises(ValueError):
             view[...] = 0.0
+
+
+def test_check_path_builds_no_duals():
+    e8 = _fresh(generate(family_spec("E8", t=1)))
+    vee_check(e8)
+    assert "_memo_pairings" in e8.__dict__ and "_memo_gram_inverse_cleared" in e8.__dict__
+    assert "_memo_duals" not in e8.__dict__
 
 
 def test_configuration_freed_after_checks():

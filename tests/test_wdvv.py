@@ -201,3 +201,14 @@ def test_sample_points_seeded_and_guarded():
     p2 = sample_points(cfg, 6, 42)
     assert [p.x for p in p1] == [p.x for p in p2]
     assert all(p.min_sine >= 1 / 20 for p in p1)
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_no_points_is_an_error(points):
+    cfg = generate(family_spec("BC", 2, r=1, s=1, q=1))
+    with pytest.raises(ValueError):
+        sample_points(cfg, points, 42)
+    with pytest.raises(ValueError):
+        wdvv_residual(cfg, lambda_sq(cfg), points=points)
+    with pytest.raises(ValueError):
+        associativity_residual(cfg, lambda_sq(cfg), points=points)
