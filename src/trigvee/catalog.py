@@ -311,15 +311,16 @@ def build_catalog(
 
     Every entry's child is re-checked in exact arithmetic: it must pass the
     vee-condition and carry the parent's lambda^2; a failure raises
-    CatalogError.
+    CatalogError.  The corank range is checked before any exact work.
     """
+    flats = enumerate_flat_classes(cfg, max_corank)
     parent_lam = lambda_sq(cfg)
     entries: dict[str, CatalogEntry] = {}
     root_entry = CatalogEntry(
         family, params, 0, (), len(cfg), 1, canonical_digest(cfg), parent_lam, len(cfg), cfg.dim
     )
     entries[root_entry.digest] = root_entry
-    for fc in enumerate_flat_classes(cfg, max_corank):
+    for fc in flats:
         where = "flat spanned by %s" % list(fc.span_indices)
         handle = subsystem(cfg, fc.span_indices)
         if len(handle.member_indices) != fc.n_members:

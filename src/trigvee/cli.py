@@ -1,7 +1,7 @@
 """Command-line front-end over the JSON configuration interchange format.
 
-Exit codes: 0 success / check passed, 1 check or verification failed,
-2 malformed input or unsupported request.
+Exit codes: 0 success / check passed, 1 check or verification failed (also a
+restriction refused for a zero class sum), 2 malformed input or unsupported request.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .exactla import rat
 from .families import family_spec, generate
 from .gamma import gamma_sq_direct, gamma_tilde_sq, gamma_tilde_sq_dual, root_data
 from .catalog import CatalogError, build_catalog
-from .restriction import restrict
+from .restriction import CDeltaZeroError, restrict
 from .veesystem import (
     NotProportionalError,
     ZeroG2Error,
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CatalogError as e:
+    except (CatalogError, CDeltaZeroError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except (InputError, ValueError, KeyError, ZeroDivisionError) as e:

@@ -5,8 +5,9 @@ vectors, collinearity classes with their weighted sums, and a positive-system
 normalization.  Configurations are immutable, so derived data, exact and
 float, is computed once and kept on the instance itself (``memo``): it is
 freed with the configuration, and equality and hashing see only the fields.
-The exact vee-layer runs on one integer view per configuration, ``lattice``,
-``gram_inverse_cleared`` and ``pairings``, each over one common denominator.
+Every exact layer runs on one integer view per configuration, ``lattice``,
+``gram_inverse_cleared`` and ``pairings``, each over one common denominator;
+the Fraction ``duals`` remain for subsystem duals, gamma, catalog and wdvv.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
@@ -28,7 +30,6 @@ from .exactla import (
     invert,
     is_zero_vec,
     mat_vec,
-    primitive,
     vec,
 )
 
@@ -38,7 +39,7 @@ class MixedClassError(ValueError):
 
 
 class NoGenericFunctionalError(ValueError):
-    """No functional separates the covectors (only possible with a zero covector)."""
+    """No functional found that vanishes on none of the covectors."""
 
 
 class ZeroMultiplicityWarning(UserWarning):
@@ -181,18 +182,19 @@ class CollinearClass:
 
 @memo
 def collinear_classes(cfg: Configuration) -> tuple[CollinearClass, ...]:
-    """Partition of the covector indices into proportionality classes."""
-    buckets: dict[Vec, list[int]] = {}
-    for i, a in enumerate(cfg.covectors):
-        buckets.setdefault(primitive(a), []).append(i)
+    """Partition of the covector indices into proportionality classes, keyed
+    on the gcd-reduced integer covectors with positive leading entry."""
+    covs = lattice(cfg).covectors
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for i, a in enumerate(covs):
+        g = gcd(*a) if next(x for x in a if x) > 0 else -gcd(*a)
+        buckets.setdefault(tuple(x // g for x in a), []).append(i)
     classes = []
-    for key in sorted(buckets, key=lambda k: buckets[k][0]):
-        idxs = buckets[key]
-        anchor = idxs[0]
-        a0 = cfg.covectors[anchor]
-        p = next(k for k in range(cfg.dim) if a0[k] != 0)
-        members = tuple((i, cfg.covectors[i][p] / a0[p]) for i in idxs)
-        classes.append(CollinearClass(anchor, members))
+    for idxs in buckets.values():  # in order of first member
+        a0 = covs[idxs[0]]
+        p = next(k for k, x in enumerate(a0) if x)
+        members = tuple((i, Fraction(covs[i][p], a0[p])) for i in idxs)
+        classes.append(CollinearClass(idxs[0], members))
     return tuple(classes)
 
 
@@ -203,6 +205,14 @@ def class_of(cfg: Configuration, index: int) -> CollinearClass:
     raise IndexError(index)
 
 
+def class_weights(cfg: Configuration, cls: CollinearClass) -> tuple[int, dict[int, int]]:
+    """(p, w): the anchor's pivot p and w[i] = mults[i] * lat[i][p]^2 per member;
+    a subset's c_delta at anchor g is its weight sum / (mult_den * lat[g][p]^2)."""
+    lat = lattice(cfg)
+    p = next(k for k, x in enumerate(lat.covectors[cls.anchor]) if x)
+    return p, {i: lat.multiplicities[i] * lat.covectors[i][p] ** 2 for i in cls.indices}
+
+
 def c_delta(cfg: Configuration, subset: Iterable[int], anchor: int) -> Fraction:
     """The weighted sum over a subset of one collinearity class.
 
@@ -210,27 +220,23 @@ def c_delta(cfg: Configuration, subset: Iterable[int], anchor: int) -> Fraction:
     nonzero status does not depend on the anchor choice.
     """
     subset = tuple(subset)
-    cls = class_of(cfg, anchor)
-    ratios = dict(cls.members)
-    if any(i not in ratios for i in subset):
+    p, weights = class_weights(cfg, class_of(cfg, anchor))
+    if any(i not in weights for i in subset):
         raise MixedClassError("subset is not contained in the anchor's collinearity class")
-    k_anchor = ratios[anchor]
-    total = Fraction(0)
-    for i in subset:
-        k = ratios[i] / k_anchor
-        total += cfg.multiplicities[i] * k * k
-    return total
+    lat = lattice(cfg)
+    scale = lat.mult_denominator * lat.covectors[anchor][p] ** 2
+    return Fraction(sum(weights[i] for i in subset), scale)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
-def auto_functional(cfg: Configuration) -> Vec:
-    """Deterministic generic functional (1, eps, eps^2, ...), eps = 1/prime."""
+def auto_functional(cfg: Configuration) -> tuple[int, ...]:
+    """Generic functional (1, eps, ..., eps^(dim-1)), eps = 1/prime, cleared to integers."""
+    covs = lattice(cfg).covectors
     for p in _PRIMES:
-        eps = Fraction(1, p)
-        phi = tuple(eps**k for k in range(cfg.dim))
-        if all(dot(a, phi) != 0 for a in cfg.covectors):
+        phi = tuple(p ** (cfg.dim - 1 - k) for k in range(cfg.dim))
+        if all(sum(map(mul, a, phi)) for a in covs):
             return phi
     raise NoGenericFunctionalError("could not separate covectors from zero")
 
@@ -244,52 +250,36 @@ def normalize_positive(cfg: Configuration, functional: Iterable | None = None) -
     itself is returned, so its memoized data is shared.
     """
     phi = auto_functional(cfg) if functional is None else vec(functional)
-    merged: dict[Vec, Fraction] = {}
-    order: list[Vec] = []
-    for a, c in zip(cfg.covectors, cfg.multiplicities):
-        v = dot(a, phi)
+    (phi,), _ = clear_denominators([phi])
+    if len(phi) != cfg.dim:
+        raise ValueError("functional has length %d, not %d" % (len(phi), cfg.dim))
+    lat = lattice(cfg)
+    merged: dict[tuple[int, ...], list] = {}  # flipped integer row -> [covector, multiplicity]
+    for a, row, c in zip(cfg.covectors, lat.covectors, lat.multiplicities):
+        v = sum(map(mul, row, phi))
         if v == 0:
             raise NoGenericFunctionalError("functional vanishes on a covector")
-        b = a if v > 0 else tuple(-x for x in a)
-        if b not in merged:
-            merged[b] = Fraction(0)
-            order.append(b)
-        merged[b] += c
-    covs, mults = [], []
-    dropped = 0
-    for b in order:
-        if merged[b] == 0:
-            dropped += 1
-            continue
-        covs.append(b)
-        mults.append(merged[b])
+        if v < 0:
+            a, row = tuple(-x for x in a), [-x for x in row]
+        merged.setdefault(tuple(row), [a, 0])[1] += c
+    kept = [(a, Fraction(c, lat.mult_denominator)) for a, c in merged.values() if c]
+    dropped = len(merged) - len(kept)
     if dropped:
         warnings.warn(
             "%d covector(s) merged to zero multiplicity and were dropped" % dropped,
             ZeroMultiplicityWarning,
             stacklevel=2,
         )
-    if (tuple(covs), tuple(mults)) == (cfg.covectors, cfg.multiplicities):
+    covs, mults = tuple(a for a, _ in kept), tuple(c for _, c in kept)
+    if (covs, mults) == (cfg.covectors, cfg.multiplicities):
         return cfg
-    return Configuration(cfg.dim, tuple(covs), tuple(mults), cfg.name)
+    return Configuration(cfg.dim, covs, mults, cfg.name)
 
 
 def apply_matrix(cfg: Configuration, u: Mat) -> Configuration:
     """Compose every covector with the linear map given by u (columns act on V)."""
     cols = tuple(zip(*u))
     covs = tuple(tuple(dot(a, col) for col in cols) for a in cfg.covectors)
-    return Configuration(cfg.dim, covs, cfg.multiplicities, cfg.name)
-
-
-def flip_classes(cfg: Configuration, class_positions: Iterable[int]) -> Configuration:
-    """Negate entire collinearity classes (class indices into collinear_classes)."""
-    classes = collinear_classes(cfg)
-    flip: set[int] = set()
-    for p in class_positions:
-        flip.update(classes[p].indices)
-    covs = tuple(
-        tuple(-x for x in a) if i in flip else a for i, a in enumerate(cfg.covectors)
-    )
     return Configuration(cfg.dim, covs, cfg.multiplicities, cfg.name)
 
 

@@ -8,7 +8,7 @@ hashed freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -51,21 +51,12 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vscale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
 def mat_vec(m: Mat, v: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def transpose(m: Mat) -> Mat:
@@ -149,36 +140,23 @@ def independent(rows: Iterable[Sequence]) -> list[int]:
     return _gauss_jordan(transpose(tuple(rows)))[1]
 
 
-def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
-    """Standard basis of the right nullspace from the RREF (deterministic)."""
+def nullspace_cleared(rows: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], int]:
+    """(K, d): the basis ``nullspace`` returns is K / d, with K in integers."""
     red, pivots, d = _gauss_jordan(rows)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = d
         for row, p in zip(red, pivots):
-            v[p] = Fraction(-row[f], d)
-        basis.append(tuple(v))
-    return basis
+            v[p] = -row[f]
+        basis.append(v)
+    return basis, d
 
 
-def in_row_span(red: list[list[Fraction]], pivots: list[int], v: Sequence[Fraction]) -> bool:
-    """Membership of v in the row space described by an RREF: v must be the
-    combination of the rows whose coefficients are its pivot-column entries."""
-    w = vec(v)
-    coeffs = [w[p] for p in pivots]
-    return all(x == sum(c * row[j] for c, row in zip(coeffs, red)) for j, x in enumerate(w))
-
-
-def primitive(v: Sequence[Fraction]) -> Vec:
-    """Integer-primitive representative of the ray through v, positive leading entry."""
-    (ints,), _ = clear_denominators([v])
-    g = gcd(*ints)
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    lead = next(x for x in ints if x != 0)
-    sign = 1 if lead > 0 else -1
-    return tuple(Fraction(sign * x, g) for x in ints)
+def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
+    """Standard basis of the right nullspace from the RREF (deterministic)."""
+    basis, d = nullspace_cleared(rows, ncols)
+    return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
 # --- Lambda^2 V bookkeeping -------------------------------------------------
@@ -190,10 +168,6 @@ def primitive(v: Sequence[Fraction]) -> Vec:
 
 def wedge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-def wedge_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: k for k, p in enumerate(wedge_pairs(n))}
 
 
 def wedge_eval(alpha: Vec, beta: Vec, pair: tuple[int, int]) -> Fraction:

@@ -206,10 +206,3 @@ def gamma_sq_direct(cfg: Configuration, rd: RootData) -> Fraction:
         raise ZeroDivisionError("lambda^2 vanishes")
     return -4 * h**3 / lam
 
-
-def census_h(cfg: Configuration, rd: RootData, class_mults: Mapping[str, Fraction]) -> Fraction:
-    """h = (1/N) sum over census classes of mult * count * norm^2."""
-    total = Fraction(0)
-    for cls in rd.census:
-        total += rat(class_mults[cls.label]) * cls.count * cls.norm_sq
-    return total / rd.rank

@@ -4,15 +4,17 @@ Covectors outside the subsystem are projected onto the intersection of the
 member kernels; exactly equal projections are merged with summed
 multiplicities (proportional-but-unequal projections stay distinct).  The
 resulting configuration carries the same coupling constant as its parent.
+All of it runs in integers on the parent's integer view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .configuration import Configuration, c_delta, class_of, gram
-from .exactla import Vec, dot, nullspace, rank
+from .configuration import Configuration, c_delta, class_of, lattice
+from .exactla import Vec, nullspace_cleared, rank
 from .veesystem import SubsystemHandle
 
 
@@ -43,47 +45,37 @@ def restrict(cfg: Configuration, sub: SubsystemHandle) -> RestrictionResult:
     spanning covectors and nondegeneracy of the restricted Gram form.
     """
     for i in sub.span_indices:
-        cls = class_of(cfg, i)
-        if c_delta(cfg, cls.indices, cls.anchor) == 0:
+        if c_delta(cfg, class_of(cfg, i).indices, i) == 0:
             raise CDeltaZeroError(
                 "collinearity class of spanning covector %d has zero weighted sum" % i
             )
 
-    basis = nullspace([cfg.covectors[i] for i in sub.span_indices], cfg.dim)
-    if not basis:
+    kernel, d = nullspace_cleared([cfg.covectors[i] for i in sub.span_indices], cfg.dim)
+    if not kernel:
         raise EmptyChildError("the subsystem spans the whole dual space")
-    g = gram(cfg)
+    lat = lattice(cfg)
+    merged: dict[tuple[int, ...], list] = {}  # projection -> [multiplicity, parent indices]
+    for j, (a, c) in enumerate(zip(lat.covectors, lat.multiplicities)):
+        pa = tuple(sum(map(mul, a, k)) for k in kernel)
+        if any(pa):  # only the members, inside the span, project to zero
+            entry = merged.setdefault(pa, [0, []])
+            entry[0] += c
+            entry[1].append(j)
+    # sum of c_j p_j p_j^T is B^T G B, B = kernel / d, times (den * d)^2 * mult_den > 0
+    k = len(kernel)
     restricted_gram = [
-        [dot(u, tuple(dot(row, v) for row in g)) for v in basis] for u in basis
+        [sum(c * pa[u] * pa[v] for pa, (c, _) in merged.items()) for v in range(k)]
+        for u in range(k)
     ]
-    if rank(restricted_gram) < len(basis):
+    if rank(restricted_gram) < k:
         raise DegenerateRestrictedGramError("restricted Gram form is degenerate")
 
-    members = set(sub.member_indices)
-    merged: dict[Vec, list] = {}
-    order: list[Vec] = []
-    for j, a in enumerate(cfg.covectors):
-        if j in members:
-            continue
-        pa = tuple(dot(a, b) for b in basis)
-        if all(x == 0 for x in pa):
-            # only covectors inside the span can vanish here; closure of the
-            # handle guarantees those are members
-            continue
-        if pa not in merged:
-            merged[pa] = [Fraction(0), []]
-            order.append(pa)
-        merged[pa][0] += cfg.multiplicities[j]
-        merged[pa][1].append(j)
-    if not order:
-        raise EmptyChildError("all restrictions vanish")
-
-    covs = tuple(order)
-    mults = tuple(merged[p][0] for p in order)
-    provenance = tuple(tuple(merged[p][1]) for p in order)
+    scale = lat.denominator * d
+    covs = tuple(tuple(Fraction(x, scale) for x in pa) for pa in merged)
+    mults = tuple(Fraction(c, lat.mult_denominator) for c, _ in merged.values())
+    provenance = tuple(tuple(js) for _, js in merged.values())
     name = None if cfg.name is None else "%s | restricted along %s" % (
-        cfg.name,
-        list(sub.span_indices),
-    )
-    child = Configuration(len(basis), covs, mults, name)
-    return RestrictionResult(child, tuple(basis), provenance)
+        cfg.name, list(sub.span_indices))
+    child = Configuration(k, covs, mults, name)
+    basis = tuple(tuple(Fraction(x, d) for x in v) for v in kernel)
+    return RestrictionResult(child, basis, provenance)

@@ -5,18 +5,21 @@ signed scalar sum of c_b * alpha(b-vee) over the series; all wedges within a
 series agree up to sign, so the wedge factor cancels and a single rational
 residual remains per series.  The two canonical wedge forms determine the
 coupling ratio lambda^2 by exact proportionality.  Residuals, the second form
-and the isotropy test run in integers on the configuration's integer view.
+and the subsystem layers run in integers on the configuration's integer view.
 """
 
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .configuration import (
     Configuration,
+    NoGenericFunctionalError,
+    class_weights,
     collinear_classes,
     duals,
     gram,
@@ -32,10 +35,8 @@ from .exactla import (
     clear_denominators,
     dot,
     independent,
+    nullspace_cleared,
     rank,
-    rref,
-    in_row_span,
-    vscale,
     wedge_pairs,
     zero_wedge_form,
 )
@@ -224,32 +225,37 @@ _SUBSET_CAP = 12
 
 
 def c_delta_zero_warnings(cfg: Configuration) -> tuple[CDeltaWarning, ...]:
-    """All subsets of collinearity classes whose weighted sum vanishes."""
+    """All subsets of collinearity classes whose weighted sum vanishes; only the
+    first _SUBSET_CAP members of a larger class are searched, with a UserWarning."""
     warnings_out = []
     for cls in collinear_classes(cfg):
-        members = cls.members
-        if len(members) > _SUBSET_CAP:
-            members = members[:_SUBSET_CAP]
-        idxs = [i for i, _ in members]
-        ratios = {i: k for i, k in members}
+        idxs = cls.indices
+        if len(idxs) > _SUBSET_CAP:
+            warnings.warn("collinearity class at anchor %d has %d covectors; only subsets of "
+                          "its first %d are searched" % (cls.anchor, len(idxs), _SUBSET_CAP),
+                          stacklevel=2)
+            idxs = idxs[:_SUBSET_CAP]
+        weights = class_weights(cfg, cls)[1]
         for mask in range(1, 1 << len(idxs)):
             subset = [idxs[t] for t in range(len(idxs)) if mask >> t & 1]
-            total = sum(
-                (cfg.multiplicities[i] * ratios[i] * ratios[i] for i in subset),
-                Fraction(0),
-            )
-            if total == 0:
+            if sum(weights[i] for i in subset) == 0:
                 warnings_out.append(CDeltaWarning(cls.anchor, tuple(subset)))
     return tuple(warnings_out)
 
 
-def _random_functional(cfg: Configuration, rng: random.Random) -> Vec:
-    while True:
-        phi = tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 19)) for _ in range(cfg.dim))
-        if all(x == 0 for x in phi):
-            continue
-        if all(dot(a, phi) != 0 for a in cfg.covectors):
+_FUNCTIONAL_DRAWS = 1000  # draws before giving up on a generic functional
+
+
+def _random_functional(cfg: Configuration, rng: random.Random) -> list[int]:
+    """A random functional, cleared to integers, that vanishes on no covector."""
+    covs = lattice(cfg).covectors
+    for _ in range(_FUNCTIONAL_DRAWS):
+        (phi,), _ = clear_denominators(
+            [[Fraction(rng.randint(-99, 99), rng.randint(1, 19)) for _ in range(cfg.dim)]]
+        )
+        if all(sum(map(mul, a, phi)) for a in covs):
             return phi
+    raise NoGenericFunctionalError("no generic functional in %d draws" % _FUNCTIONAL_DRAWS)
 
 
 def g2_positive_flip_invariant(cfg: Configuration, flips: int = 2, seed: int = 7) -> bool:
@@ -265,7 +271,7 @@ def g2_positive_flip_invariant(cfg: Configuration, flips: int = 2, seed: int = 7
     pos = _positive_view(cfg)
     rng = random.Random(seed)
     for _ in range(flips):
-        (phi,), _ = clear_denominators([_random_functional(cfg, rng)])
+        phi = _random_functional(cfg, rng)
         signs = [1 if sum(map(mul, b, phi)) > 0 else -1 for b in lattice(pos).covectors]
         if _g2_sum(pos, signs) != base:
             return False
@@ -313,27 +319,27 @@ class SubsystemHandle:
 
 
 def subsystem(cfg: Configuration, span_indices) -> SubsystemHandle:
-    """Close the chosen covectors under intersection with their span."""
+    """Close the chosen covectors under intersection with their span: the
+    covectors that pair to zero with an integer basis of its annihilator."""
     chosen = tuple(span_indices)
     if not chosen:
         raise ValueError("span_indices must be nonempty")
     basis_idx = [chosen[i] for i in independent([cfg.covectors[i] for i in chosen])]
-    red, piv = rref([cfg.covectors[i] for i in basis_idx])
+    kernel, _ = nullspace_cleared([cfg.covectors[i] for i in basis_idx], cfg.dim)
+    lat = lattice(cfg)
     members = tuple(
-        j for j, a in enumerate(cfg.covectors) if in_row_span(red, piv, a)
+        j for j, a in enumerate(lat.covectors) if not any(sum(map(mul, a, k)) for k in kernel)
     )
     dv = duals(cfg)
-    wdual = tuple(dv[i] for i in basis_idx)
-    k = len(basis_idx)
     # the Gram form of the members on the duals of the basis, scaled to integers
-    pm, mults = pairings(cfg)[0], lattice(cfg).multiplicities
+    pm, mults = pairings(cfg)[0], lat.multiplicities
     gb = [
         [sum(mults[m] * pm[m][u] * pm[m][v] for m in members) for v in basis_idx]
         for u in basis_idx
     ]
-    isotropic = rank(gb) < k
     return SubsystemHandle(
-        cfg, members, tuple(basis_idx), tuple(cfg.covectors[i] for i in basis_idx), wdual, isotropic
+        cfg, members, tuple(basis_idx), tuple(cfg.covectors[i] for i in basis_idx),
+        tuple(dv[i] for i in basis_idx), rank(gb) < len(basis_idx),
     )
 
 
@@ -342,11 +348,11 @@ def extract(cfg: Configuration, sub: SubsystemHandle) -> Configuration:
 
     Members are restricted to the span of their dual vectors, which keeps the
     standalone Gram form nonsingular exactly when the subsystem is
-    non-isotropic.
+    non-isotropic; the coordinates are the pairings a_m(a_b-vee) = P[m][b] / D.
     """
+    pm, den = pairings(cfg)
     covs = tuple(
-        tuple(dot(cfg.covectors[m], u) for u in sub.wdual_basis)
-        for m in sub.member_indices
+        tuple(Fraction(pm[m][b], den) for b in sub.span_indices) for m in sub.member_indices
     )
     mults = tuple(cfg.multiplicities[m] for m in sub.member_indices)
     name = None if cfg.name is None else "%s | subsystem %s" % (cfg.name, list(sub.span_indices))
@@ -376,20 +382,25 @@ def m_operator(cfg: Configuration, sub: SubsystemHandle) -> EigenDecomposition:
 
     Verifies that each member's dual is an exact rational eigenvector and
     groups by eigenvalue; raises NotEigenError otherwise (which certifies
-    that the parent is not a vee-system).
+    that the parent is not a vee-system).  The operator maps m-vee to G^-1 u,
+    u = sum of c_b b(m-vee) b, so m-vee is an eigenvector iff u is parallel to m.
     """
+    pm, den = pairings(cfg)
+    lat = lattice(cfg)
+    members = sub.member_indices
+    cols = list(zip(*(lat.covectors[b] for b in members)))
     dv = duals(cfg)
     pairs: list[tuple[int, Fraction]] = []
-    for m in sub.member_indices:
-        v = dv[m]
-        w = m_apply(cfg, sub, v)
-        p = next(i for i in range(cfg.dim) if v[i] != 0)
-        lam = w[p] / v[p]
-        if w != vscale(lam, v):
-            raise NotEigenError("dual of member %d is not an eigenvector" % m)
-        pairs.append((m, lam))
     grouped: dict[Fraction, list[Vec]] = {}
-    for m, lam in pairs:
+    for m in members:
+        cs = [lat.multiplicities[b] * pm[b][m] for b in members]
+        u = [sum(map(mul, cs, col)) for col in cols]
+        a = lat.covectors[m]
+        p = next(i for i, x in enumerate(a) if x)
+        if any(x * a[p] != u[p] * y for x, y in zip(u, a)):
+            raise NotEigenError("dual of member %d is not an eigenvector" % m)
+        lam = Fraction(u[p], a[p] * lat.mult_denominator * den)
+        pairs.append((m, lam))
         grouped.setdefault(lam, []).append(dv[m])
     eigenvalues = tuple(sorted(grouped))
     spaces = tuple(tuple(grouped[lam][i] for i in independent(grouped[lam])) for lam in eigenvalues)

@@ -217,14 +217,3 @@ def associativity_residual(
         worst, tol, passed, seed, points, wd_worst, passed == bool(wd_worst < tol)
     )
 
-
-def trig_second_derivs(cfg: Configuration, lam: complex, x) -> np.ndarray:
-    """Second derivatives of the trig part: lam * sum c_a a_i a_j log|sin a(x)|.
-
-    Central finite differences of this matrix reproduce the trig third
-    derivatives; used to validate the analytic derivative rules.
-    """
-    av, c, _ = float_view(cfg)
-    vals = av @ np.asarray(x)
-    logs = np.log(np.abs(np.sin(vals)))
-    return lam * (av.T * (c * logs)) @ av

@@ -88,3 +88,16 @@ def test_max_corank_bounds():
     for bad in (-1, -2, 2):
         with pytest.raises(ValueError):
             build_catalog(cfg, "BC", "r=1,s=1,q=1", bad)
+
+
+def test_corank_range_checked_before_lambda_sq(monkeypatch):
+    from trigvee import catalog
+
+    def refuse(cfg):
+        raise AssertionError("lambda_sq called before the corank range check")
+
+    monkeypatch.setattr(catalog, "lambda_sq", refuse)
+    cfg = generate(family_spec("E6", t=1))
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="max_corank"):
+            build_catalog(cfg, "E6", "t=1", bad)

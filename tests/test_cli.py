@@ -189,3 +189,14 @@ def test_catalog_negative_corank_exit_2(capsys):
     code, out, err = run(capsys, "catalog", "--family", "F4", "--max-corank", "-2")
     assert code == 2 and out == ""
     assert err == "error: max_corank must lie in [0, dim)\n"
+
+
+def test_restrict_zero_class_sum_exit_1(tmp_path, capsys):
+    # the class {e1, 2e1} of BC3 with r + 4s = 0 has a vanishing weighted sum:
+    # a failed hypothesis of the restriction, not malformed input
+    path = tmp_path / "bc3.json"
+    run(capsys, "gen", "--family", "BC", "--rank", "3",
+        "--param", "r=-4", "--param", "s=1", "--param", "q=1", "-o", str(path))
+    code, out, err = run(capsys, "restrict", str(path), "--kernel-of", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: collinearity class of spanning covector 0 has zero weighted sum")

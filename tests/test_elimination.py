@@ -1,11 +1,10 @@
 """Differential tests: the one fraction-free elimination behind ``rref``,
-``rank``, ``nullspace``, ``in_row_span``, ``independent`` and ``invert``
-against the two earlier eliminations, kept here as oracles.
+``rank``, ``nullspace``, ``independent`` and ``invert`` against the two
+earlier eliminations, kept here as oracles.
 
 The oracles are a Fraction Gauss-Jordan (``rref``), a Bareiss forward pass
-with Fraction back substitution (``invert``), the row-by-row reduction
-``in_row_span`` ran, and the greedy rank test ``subsystem`` and
-``m_operator`` ran to choose independent rows.  The matrices have zero
+with Fraction back substitution (``invert``), and the greedy rank test
+``subsystem`` and ``m_operator`` ran to choose independent rows.  The matrices have zero
 rows, duplicate rows, rows that are combinations of earlier ones (rank
 deficiency), non-unit denominators, and wide, tall and square shapes.
 """
@@ -18,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from trigvee.exactla import (
     SingularMatrixError,
     clear_denominators,
-    in_row_span,
     independent,
     invert,
     nullspace,
@@ -65,15 +63,6 @@ def oracle_nullspace(rows, ncols):
             v[p] = -red[i][f]
         basis.append(tuple(v))
     return basis
-
-
-def oracle_in_row_span(red, pivots, v):
-    w = list(map(rat, v))
-    for i, p in enumerate(pivots):
-        if w[p] != 0:
-            f = w[p]
-            w = [x - f * y for x, y in zip(w, red[i])]
-    return all(x == 0 for x in w)
 
 
 def oracle_independent(rows):
@@ -153,19 +142,6 @@ def test_rref_rank_nullspace_match_oracle(rows):
     assert rank(rows) == len(oracle_rref(rows)[1])
     assert nullspace(rows, ncols) == oracle_nullspace(rows, ncols)
     assert independent(rows) == oracle_independent(rows)
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrices(), st.data())
-def test_in_row_span_matches_oracle(rows, data):
-    ncols = len(rows[0])
-    s, t = data.draw(rationals), data.draw(rationals)
-    inside = [s * x + t * y for x, y in zip(rows[0], rows[-1])]
-    anywhere = data.draw(st.lists(rationals, min_size=ncols, max_size=ncols))
-    red, piv = rref(rows)
-    assert in_row_span(red, piv, inside)
-    assert oracle_in_row_span(*oracle_rref(rows), inside)
-    assert in_row_span(red, piv, anywhere) == oracle_in_row_span(*oracle_rref(rows), anywhere)
 
 
 @settings(max_examples=200, deadline=None)

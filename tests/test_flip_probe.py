@@ -4,7 +4,8 @@ Renormalizing against a functional phi turns each covector b of the positive
 view to sgn(b(phi)) * b and leaves the merged multiplicities as they are, so
 the probe evaluates the view's second form with those signs instead of
 building a new configuration per probe.  The per-probe renormalization the
-signs replaced is kept here as the oracle.
+signs replaced is kept here as the oracle, with the Fraction draw of the
+random functional the integer draw replaced.
 """
 
 import random
@@ -21,11 +22,20 @@ from trigvee.families import family_spec, generate
 from trigvee.veesystem import _g2_sum, _random_functional, g2_positive_flip_invariant
 
 
+def oracle_random_functional(cfg, rng):
+    while True:
+        phi = tuple(Q(rng.randint(-99, 99), rng.randint(1, 19)) for _ in range(cfg.dim))
+        if all(x == 0 for x in phi):
+            continue
+        if all(dot(a, phi) != 0 for a in cfg.covectors):
+            return phi
+
+
 def oracle_flip_invariant(cfg, flips, seed):
     base = _g2_sum(normalize_positive(cfg))
     rng = random.Random(seed)
     for _ in range(flips):
-        phi = _random_functional(cfg, rng)
+        phi = oracle_random_functional(cfg, rng)
         if _g2_sum(normalize_positive(cfg, phi)) != base:
             return False
     return True
@@ -53,9 +63,14 @@ def test_signed_probe_matches_per_probe_renormalization(cfg, seed):
         except ZeroDivisionError:  # singular Gram form
             return
         pos = normalize_positive(cfg)
-        rng = random.Random(seed)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
         for _ in range(3):
             phi = _random_functional(cfg, rng)
+            # the same draw, cleared to integers: a positive multiple
+            expected_phi = oracle_random_functional(cfg, oracle_rng)
+            k = next(i for i, x in enumerate(expected_phi) if x)
+            scale = phi[k] / expected_phi[k]
+            assert scale > 0 and [Q(x) for x in phi] == [scale * x for x in expected_phi]
             signs = [1 if dot(b, phi) > 0 else -1 for b in pos.covectors]
             assert _g2_sum(pos, signs) == _g2_sum(normalize_positive(cfg, phi))
         assert g2_positive_flip_invariant(cfg, 3, seed) == expected

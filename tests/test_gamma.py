@@ -8,7 +8,6 @@ from trigvee.exactla import identity, mat_scale
 from trigvee.families import family_spec, generate
 from trigvee.gamma import (
     NoATableError,
-    census_h,
     classify_and_h,
     gamma_sq_direct,
     gamma_tilde_sq,
@@ -98,6 +97,11 @@ def test_gamma_tilde_consistency_with_direct_route():
         rd = root_data(fam, n)
         spec = family_spec(fam, n, t=t / 2)
         assert gamma_tilde_sq(rd, {"all": t}) == gamma_sq_direct(generate(spec), rd)
+
+
+def census_h(cfg, rd, class_mults):
+    """h = (1/N) sum over census classes of mult * count * norm^2."""
+    return sum(Q(class_mults[cls.label]) * cls.count * cls.norm_sq for cls in rd.census) / rd.rank
 
 
 def test_census_trace_identity_against_gram():

@@ -4,10 +4,11 @@ from fractions import Fraction as Q
 import pytest
 
 from trigvee.configuration import (
+    Configuration,
     apply_matrix,
+    collinear_classes,
     configuration,
     duals,
-    flip_classes,
     gram,
     normalize_positive,
 )
@@ -192,6 +193,16 @@ def test_g2_positive_system_independence():
         family_spec("FourDim", r=1, s=4),
     ]:
         assert g2_positive_flip_invariant(generate(spec), flips=10, seed=11)
+
+
+def flip_classes(cfg, class_positions):
+    """Negate entire collinearity classes (class indices into collinear_classes)."""
+    classes = collinear_classes(cfg)
+    flip = {i for p in class_positions for i in classes[p].indices}
+    covs = tuple(
+        tuple(-x for x in a) if i in flip else a for i, a in enumerate(cfg.covectors)
+    )
+    return Configuration(cfg.dim, covs, cfg.multiplicities, cfg.name)
 
 
 def test_g2_changes_on_non_positive_flip():

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from trigvee.configuration import configuration
+from trigvee.configuration import configuration, float_view
 from trigvee.families import family_spec, generate
 from trigvee.veesystem import lambda_sq
 from trigvee.wdvv import (
@@ -16,9 +16,19 @@ from trigvee.wdvv import (
     product,
     sample_points,
     third_derivs,
-    trig_second_derivs,
     wdvv_residual,
 )
+
+
+def trig_second_derivs(cfg, lam, x):
+    """Second derivatives of the trig part: lam * sum c_a a_i a_j log|sin a(x)|.
+
+    Central finite differences of this matrix reproduce the trig third
+    derivatives.
+    """
+    av, c, _ = float_view(cfg)
+    logs = np.log(np.abs(np.sin(av @ np.asarray(x))))
+    return lam * (av.T * (c * logs)) @ av
 
 
 def test_third_derivs_single_covector_hand_expansion():
