@@ -1,34 +1,35 @@
-"""Batch restriction catalogs: enumerate span-closed subsets, restrict, dedup.
+"""Batch restriction catalogs: enumerate flats, group them into orbits,
+restrict, dedup.
 
 Flats (subsets of the form configuration-intersect-span) are enumerated by
-extending smaller flats one collinearity class at a time.  The heavy
-combinatorial sweep runs in guarded floating point on intrinsic pairing data,
-one corank level at a time: each level's flats are extended and then
-fingerprinted in fixed-size chunks of stacked arrays (one stacked solve per
-chunk).  The large temporaries are bounded by the chunk size; beyond them a
-flat costs only its spanning anchors and its member set as packed bits.
-Each deduplicated representative is then re-verified and restricted in exact
-arithmetic.  Deduplication keys on intrinsic invariants of the
-restriction and is a heuristic: full linear-equivalence testing is out of
-scope.
+extending smaller flats one collinearity class at a time, in guarded floating
+point, one corank level at a time, on fixed-size chunks of stacked arrays:
+the large temporaries are bounded by the chunk size, and beyond them a flat
+costs only its spanning anchors and its member set as packed bits.  Each
+level's flats are grouped exactly, into orbits under the configuration's
+simple reflections, found on the integer view.  Each class representative is
+re-verified and restricted in exact arithmetic.  Entries are merged by
+``canonical_digest``, which keys on intrinsic invariants of the restriction
+and is the one heuristic left: full linear-equivalence testing is out of scope.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .configuration import (
     Configuration,
+    auto_functional,
     collinear_classes,
-    duals,
+    duals,  # unused here; perfbench/tracer.py wraps trigvee.catalog.duals
     float_view,
-    floats,
-    gram_inverse,
+    lattice,
     normalize_positive,
     pairings,
 )
@@ -37,7 +38,7 @@ from .veesystem import lambda_sq, subsystem, vee_residuals
 
 
 class CatalogError(RuntimeError):
-    """An entry failed its exact re-verification."""
+    """An entry, or a flat of the float walk, failed its exact check."""
 
 
 def pairing_profile(cfg: Configuration) -> tuple:
@@ -82,54 +83,85 @@ class FlatClass:
 
 
 _PAR_TOL = 1e-9
-_ROUND = 7
-# Float64 cells in one stacked (chunk, n, n) temporary (8 MB); a chunk holds
-# max(1, _CHUNK_CELLS // n**2) flats, which bounds the sweep's large temporaries.
+# Float64 cells in one stacked (chunk, n, n) temporary (8 MB); a walk chunk holds
+# max(1, _CHUNK_CELLS // n**2) flats, which bounds the walk's large temporaries.
+# The orbit labelling unpacks _CHUNK_CELLS // n member masks (1 MB) at a time.
 _CHUNK_CELLS = 1 << 20
 
 
 def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClass]:
-    """Deduplicated classes of span-closed subsets of corank 1..max_corank.
+    """Classes of span-closed subsets of corank 1..max_corank: one per orbit,
+    on the member sets, of the group the ``simple_reflections`` generate.
 
-    Flats with identical member-pairing multisets and identical restriction
-    fingerprints (merged multiplicity profile plus projected pairing
-    multiset) are collected into one class.  Each corank level is walked and
-    fingerprinted in chunks of stacked arrays; classes come out level by
-    level, each in the order its first flat was found.
+    A class's representative is the first flat of its orbit in walk order
+    and its ``class_size`` the orbit size; classes come out level by level,
+    ordered by representative.  Without reflection symmetries, every flat is
+    a class of its own.
     """
     if not 0 <= max_corank < cfg.dim:
         raise ValueError("max_corank must lie in [0, dim)")
     if max_corank == 0:
         return []
     n = len(cfg)
-    av, mults, _ = float_view(cfg)
-    vf = av @ floats(duals(cfg)).T
-    ginv = floats(gram_inverse(cfg))
-    classes = collinear_classes(cfg)
-    chunk = max(1, _CHUNK_CELLS // (n * n))
-    # |vf| rounded, with an extra +inf row and column that padded member
-    # indices point at
-    absvf = np.full((n + 1, n + 1), np.inf)
-    absvf[:n, :n] = np.round(np.abs(vf), _ROUND)
-    rvec = np.random.default_rng(1234).uniform(0.5, 1.5, cfg.dim)
-
+    gens = [np.array(perm) for perm, _ in simple_reflections(cfg)]
+    levels = _levels(float_view(cfg).covectors, collinear_classes(cfg), max_corank,
+                     max(1, _CHUNK_CELLS // (n * n)))
     out: list[FlatClass] = []
-    for corank, (spans, packed) in enumerate(_levels(av, classes, max_corank, chunk), 1):
-        counts = np.bitwise_count(packed).sum(axis=1)
-        width = int(counts.max(initial=0))
-        groups: dict[bytes, list[int]] = {}  # fingerprint -> [first flat, size]
-        for lo in range(0, len(spans), chunk):
-            rows = _fingerprints(
-                av, ginv, vf, absvf, rvec, mults,
-                spans[lo:lo + chunk], packed[lo:lo + chunk], counts[lo:lo + chunk], width,
-            )
-            for f, row in enumerate(rows, lo):
-                groups.setdefault(row.tobytes(), [f, 0])[1] += 1
+    for corank, (spans, packed) in enumerate(levels, 1):
+        label = _orbit_labels(spans, packed, gens, n, max(1, _CHUNK_CELLS // n))
+        reps, sizes = np.unique(label, return_counts=True)
+        counts = np.bitwise_count(packed[reps]).sum(axis=1)
         out.extend(
-            FlatClass(tuple(spans[f].tolist()), int(counts[f]), corank, size)
-            for f, size in groups.values()
+            FlatClass(tuple(spans[f].tolist()), int(m), corank, int(size))
+            for f, m, size in zip(reps, counts, sizes)
         )
     return out
+
+
+def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
+    """The simple reflections among the configuration's symmetries, as signed
+    index permutations (perm, signs) with s_b(a_i) = signs[i] * a_perm[i].
+
+    For each collinearity-class anchor b with b(b-vee) != 0 the reflection
+    s_b(a) = a - 2 a(b-vee) / b(b-vee) b is computed exactly on the integer
+    view; it is a symmetry when it permutes the covectors up to sign and
+    keeps every multiplicity.  The lines of those b are the reflecting lines,
+    oriented positive against ``auto_functional``; a symmetry s_b is simple
+    when it turns exactly one positive reflecting line negative (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.7).  The simple reflections
+    generate the same group as all reflecting symmetries.
+    """
+    covs, _, mults, _ = lattice(cfg)
+    pm, _ = pairings(cfg)
+    phi = auto_functional(cfg)
+    positive = [sum(map(mul, a, phi)) > 0 for a in covs]
+    index = {tuple(a): i for i, a in enumerate(covs)}
+    symmetries = {}
+    for b in (cls.anchor for cls in collinear_classes(cfg)):
+        bb, lb = pm[b][b], covs[b]
+        if bb == 0:  # isotropic: no reflection
+            continue
+        perm, signs = [], []
+        for i, a in enumerate(covs):
+            img = [bb * x - 2 * pm[i][b] * y for x, y in zip(a, lb)]
+            if any(x % bb for x in img):
+                break
+            q = tuple(x // bb for x in img)
+            j, sign = index.get(q), 1
+            if j is None:
+                j, sign = index.get(tuple(-x for x in q)), -1
+            if j is None or mults[j] != mults[i]:
+                break
+            perm.append(j)
+            signs.append(sign)
+        else:
+            if len(set(perm)) == len(covs):
+                symmetries[b] = (perm, signs)
+    return [
+        (perm, signs)
+        for perm, signs in symmetries.values()
+        if sum(((signs[c] > 0) == positive[perm[c]]) != positive[c] for c in symmetries) == 1
+    ]
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
@@ -186,71 +218,42 @@ def _next_level(av, anchors, spans, packed, chunk) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(new_spans), np.concatenate(new_packed)
 
 
-def _fingerprints(av, ginv, vf, absvf, rvec, mults, span, packed, counts, width) -> np.ndarray:
-    """Grouping fingerprints of a chunk of flats of one corank, one row each.
+def _orbit_labels(spans, packed, gens, n, chunk) -> np.ndarray:
+    """label[f]: the first flat, in walk order, of flat f's orbit under gens.
 
-    A row holds the sorted member pairings |a_i(a_j-vee)| (padded to width**2
-    with +inf), the sorted merged-multiplicity profile of the projected
-    covectors (padded to n with +inf), and the sum, sum of squares and
-    maximum of the projected pairings |a^_i(a^_j-vee)| over non-members.  All
-    are invariant under symmetries of the parent, which act on covectors up
-    to sign.  Projected covectors are merged via a fixed random linear hash
-    of their sign-canonical rounded coordinates."""
-    n = av.shape[0]
-    mask = _unpack(packed, n)
-    keep = ~mask
-    m0 = vf[span[:, :, None], span[:, None, :]]
-    b = vf[span]
-    # projected covectors a^ = a - (m0^-1 b)^T a_span; m0 is symmetric, so
-    # the solve needs dim right-hand sides rather than n
-    try:
-        z = np.linalg.solve(m0, av[span])
-    except np.linalg.LinAlgError:  # isotropic flat of an indefinite parent
-        z = np.stack([_solve_or_lstsq(m, r) for m, r in zip(m0, av[span])])
-    ahat = av - b.transpose(0, 2, 1) @ z
-    ahat[mask] = 0.0
-
-    rows = np.round(ahat, _ROUND)
-    lead = np.take_along_axis(rows, (np.abs(rows) > 10.0**-_ROUND).argmax(2)[..., None], 2)
-    proj = (rows @ rvec) * np.where(lead[..., 0] < 0.0, -1.0, 1.0)
-    proj[mask] = np.inf  # members sort last, into one group of weight 0
-    order = proj.argsort(axis=1)
-    ps = np.take_along_axis(proj, order, 1)
-    starts = np.ones(ps.shape, dtype=bool)
-    with np.errstate(invalid="ignore"):  # inf - inf between members
-        np.greater(np.abs(np.diff(ps, axis=1)), 10.0**-_ROUND, out=starts[:, 1:])
-    group = np.cumsum(starts, axis=1) - 1 + n * np.arange(len(ps))[:, None]
-    weight = np.take_along_axis(np.where(keep, mults, 0.0), order, 1)
-    profile = np.bincount(group.ravel(), weight.ravel(), minlength=ps.size).reshape(ps.shape)
-    profile = np.round(profile, _ROUND)
-    ngroups = np.count_nonzero(starts, axis=1) - 1
-    profile[np.arange(n) >= ngroups[:, None]] = np.inf
-    profile.sort(axis=1)
-
-    # a^_i(a^_j-vee) = a^_i G^-1 a^_j; the zeroed member rows of a^ drop
-    # members from both sides
-    dhat = ahat @ ginv
-    vhat = ahat @ dhat.transpose(0, 2, 1)
-    np.abs(vhat, out=vhat)  # in place: a second (chunk, n, n) array costs page faults
-    vsum = vhat.sum(axis=(1, 2))
-    vmax = vhat.max(axis=(1, 2))
-    # sum of squares as trace(a^T a . d^T d): dim x dim, not n x n
-    vsq = ((ahat.transpose(0, 2, 1) @ ahat) * (dhat.transpose(0, 2, 1) @ dhat)).sum(axis=(1, 2))
-
-    members = np.argsort(keep, axis=1, kind="stable")[:, :width]
-    members[np.arange(width) >= counts[:, None]] = n
-    memvals = absvf[members[:, :, None], members[:, None, :]].reshape(len(span), -1)
-    memvals.sort(axis=1)
-    return np.column_stack([
-        memvals, profile, np.round(vsum, 5), np.round(vsq, 5), np.round(vmax, _ROUND),
-    ])
+    Each generator maps a chunk of member sets at a time; the images are
+    found among the level's flats by their packed bits, and the labels are
+    merged by min-propagation with pointer jumping (the generators are
+    involutions, so each image edge runs both ways)."""
+    m = len(packed)
+    order = _row_keys(packed).argsort()
+    keys = _row_keys(packed)[order]
+    images = np.empty((len(gens), m), dtype=np.intp)
+    for lo in range(0, m, chunk):
+        mask = _unpack(packed[lo:lo + chunk], n)
+        for g, perm in enumerate(gens):
+            img = _row_keys(np.packbits(mask[:, perm], axis=1))
+            pos = np.minimum(keys.searchsorted(img), m - 1)
+            miss = np.flatnonzero(keys[pos] != img)
+            if len(miss):
+                raise CatalogError(
+                    "a reflection maps the flat spanned by %s to a covector set the "
+                    "float sweep did not find" % spans[lo + miss[0]].tolist()
+                )
+            images[g, lo:lo + chunk] = order[pos]
+    label = np.arange(m)
+    while True:
+        new = np.minimum(label, label[images].min(axis=0, initial=m))
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
 
 
-def _solve_or_lstsq(m0: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(m0, b)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(m0, b, rcond=None)[0]
+def _row_keys(packed: np.ndarray) -> np.ndarray:
+    """One opaque, orderable key per row of packed member bits."""
+    packed = np.ascontiguousarray(packed)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 @dataclass(frozen=True)
@@ -349,13 +352,9 @@ def build_catalog(
             child_lam = parent_lam
             verified = False
         digest = canonical_digest(child)
-        if digest in entries:
+        if digest in entries:  # child_lam is parent_lam, as is the old entry's
             old = entries[digest]
-            entries[digest] = CatalogEntry(
-                family, params, old.corank, old.span_indices, old.n_members,
-                old.class_size + fc.class_size, digest, child_lam,
-                old.covector_count, old.child_dim, old.lambda_verified,
-            )
+            entries[digest] = replace(old, class_size=old.class_size + fc.class_size)
         else:
             entries[digest] = CatalogEntry(
                 family, params, fc.corank, fc.span_indices, len(handle.member_indices),

@@ -7,7 +7,7 @@ float, is computed once and kept on the instance itself (``memo``): it is
 freed with the configuration, and equality and hashing see only the fields.
 Every exact layer runs on one integer view per configuration, ``lattice``,
 ``gram_inverse_cleared`` and ``pairings``, each over one common denominator;
-the Fraction ``duals`` remain for subsystem duals, gamma, catalog and wdvv.
+the Fraction ``duals`` remain for subsystem duals, gamma and wdvv.
 """
 
 from __future__ import annotations

@@ -1,0 +1,98 @@
+"""Exact reflection orbits of flats: the generators and the orbit counts.
+
+The orbit counts are checked against the orbit types of flats of the
+exceptional Weyl arrangements tabulated by Orlik and Terao (Arrangements of
+Hyperplanes, 1992), an independent source.
+"""
+
+from collections import Counter
+
+import pytest
+
+from trigvee import catalog
+from trigvee.catalog import CatalogError, enumerate_flat_classes, simple_reflections
+from trigvee.configuration import configuration, lattice, pairings
+from trigvee.families import family_spec, generate
+
+
+def _isotropic_pair():
+    """Gram form diag(1, -1): e1 +- e2 are isotropic and admit no reflection,
+    while the reflections in e1 and e2 are symmetries."""
+    return configuration(2, [[1, 0], [0, 1], [1, 1], [1, -1]], [-1, -3, 1, 1])
+
+
+_GENERATED = [
+    ("E6", family_spec("E6", t=1), 6),
+    ("E7", family_spec("E7", t=1), 7),
+    ("E8", family_spec("E8", t=1), 8),
+    ("F4", family_spec("F4", r=1, s=1), 4),
+    ("F4(-1,-2/3)", family_spec("F4", r=-1, s="-2/3"), 4),
+    ("BC3", family_spec("BC", 3, r=1, s=2, q=3), 3),
+    ("BC5", family_spec("BC", 5, r=1, s=1, q=1), 5),
+    ("D4", family_spec("D", 4, t=1), 4),
+    ("D5", family_spec("D", 5, t=1), 5),
+    ("A3", family_spec("A", 3, t=1), 3),
+    ("A4", family_spec("A", 4, t=1), 4),
+    ("G2", family_spec("G2", p=1, q=2), 2),
+]
+_CASES = [(name, lambda spec=spec: generate(spec), rank) for name, spec, rank in _GENERATED]
+_CASES.append(("isotropic pair", _isotropic_pair, 2))
+
+
+@pytest.mark.parametrize("name,make,rank", _CASES, ids=[c[0] for c in _CASES])
+def test_simple_reflections_are_signed_symmetries(name, make, rank):
+    cfg = make()
+    n = len(cfg)
+    pm, _ = pairings(cfg)
+    mults = lattice(cfg).multiplicities
+    gens = simple_reflections(cfg)
+    assert len(gens) == rank
+    for perm, signs in gens:
+        assert sorted(perm) == list(range(n))
+        assert all(perm[perm[i]] == i and signs[perm[i]] == signs[i] for i in range(n))
+        assert all(mults[perm[i]] == mults[i] for i in range(n))
+        assert all(
+            pm[perm[i]][perm[j]] == signs[i] * signs[j] * pm[i][j]
+            for i in range(n) for j in range(n)
+        )
+        # the root is negated in place, and is never isotropic
+        roots = [b for b in range(n) if perm[b] == b and signs[b] < 0]
+        assert roots and all(pm[b][b] != 0 for b in roots)
+
+
+# (corank, n_members, class_size) of every orbit up to the given corank
+_ORBITS = [
+    ("E6", family_spec("E6", t=1), 3, [
+        (1, 1, 36), (2, 2, 270), (2, 3, 120), (3, 6, 270), (3, 3, 540), (3, 4, 720),
+    ]),
+    ("E7", family_spec("E7", t=1), 3, [
+        (1, 1, 63), (2, 2, 945), (2, 3, 336),
+        (3, 6, 1260), (3, 3, 3780), (3, 3, 315), (3, 4, 5040),
+    ]),
+    ("E8", family_spec("E8", t=1), 3, [
+        (1, 1, 120), (2, 2, 3780), (2, 3, 1120), (3, 6, 7560), (3, 3, 37800), (3, 4, 40320),
+    ]),
+    # non-unit parameters, where the old float fingerprint split orbits by
+    # rounding noise (7 + 12 + 5 and 45 + 3)
+    ("F4(3,2)", family_spec("F4", r=3, s=2), 1, [(1, 1, 12), (1, 1, 12)]),
+    ("F4(-1,-2/3)", family_spec("F4", r=-1, s="-2/3"), 3, [
+        (1, 1, 12), (1, 1, 12), (2, 2, 72), (2, 3, 16), (2, 3, 16), (2, 4, 18),
+        (3, 9, 12), (3, 9, 12), (3, 4, 48), (3, 4, 48),
+    ]),
+]
+
+
+@pytest.mark.parametrize("name,spec,corank,orbits", _ORBITS, ids=[c[0] for c in _ORBITS])
+def test_orbit_counts(name, spec, corank, orbits):
+    classes = enumerate_flat_classes(generate(spec), corank)
+    assert Counter((c.corank, c.n_members, c.class_size) for c in classes) == Counter(orbits)
+
+
+def test_flat_missing_from_the_walk_is_an_error(monkeypatch):
+    # drop the last flat of every level the walk extends to
+    real = catalog._next_level
+    monkeypatch.setattr(
+        catalog, "_next_level", lambda *args: tuple(x[:-1] for x in real(*args))
+    )
+    with pytest.raises(CatalogError, match="float sweep did not find"):
+        enumerate_flat_classes(generate(family_spec("F4", r=1, s=1)), 2)

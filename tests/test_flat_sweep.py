@@ -1,4 +1,13 @@
-"""Differential tests of the batched flat sweep against the per-flat oracle."""
+"""Differential tests of the batched flat sweep against the per-flat oracle.
+
+The oracle is the original walk (one QR and parallel test per span) with
+the original float fingerprint per flat.  The sweep's classes are exact
+reflection orbits, which refine the fingerprint classes: D4's triality, for
+one, is not a reflection, so its orbits are finer than the fingerprint
+classes.  The tests therefore check that each orbit lies inside one
+fingerprint class, that the orbits partition each level, and that the
+catalog built on either grouping is the same.
+"""
 
 import random
 from fractions import Fraction
@@ -7,7 +16,7 @@ import numpy as np
 import pytest
 
 from trigvee import catalog
-from trigvee.catalog import FlatClass, enumerate_flat_classes
+from trigvee.catalog import FlatClass, build_catalog, enumerate_flat_classes, simple_reflections
 from trigvee.configuration import collinear_classes, configuration, duals
 from trigvee.exactla import SingularMatrixError
 from trigvee.families import family_spec, generate, restricted_family
@@ -57,30 +66,39 @@ def reference_flats(cfg, max_corank):
     return flats
 
 
-def reference_flat_classes(cfg, max_corank):
+# decimals of the oracle fingerprint's rounding
+_ROUND = 7
+
+
+def reference_flat_keys(cfg, max_corank):
     """The original per-flat sweep: the level walk above, then one solve and
-    rounding fingerprint (`_flat_key`) per flat."""
+    rounding fingerprint (`_flat_key`) per flat; returns (span, mask, key)
+    per flat in walk order."""
+    av = _float_matrix(cfg.covectors)
+    vf = av @ _float_matrix(duals(cfg)).T
+    mults = np.array([float(c) for c in cfg.multiplicities])
+    absvf = np.abs(vf)
+    rvec = np.random.default_rng(1234).uniform(0.5, 1.5, cfg.dim)
+    return [
+        (span, mask, _flat_key(av, vf, absvf, rvec, mults, span, mask, _ROUND))
+        for span, mask in reference_flats(cfg, max_corank)
+    ]
+
+
+def reference_flat_classes(cfg, max_corank):
+    """The fingerprint classes of the original sweep, each represented by its
+    first flat, in the order the representatives were found."""
     if not 0 <= max_corank < cfg.dim:
         raise ValueError("max_corank must lie in [0, dim)")
     if max_corank == 0:
         return []
-    av = _float_matrix(cfg.covectors)
-    vf = av @ _float_matrix(duals(cfg)).T
-    mults = np.array([float(c) for c in cfg.multiplicities])
-    groups, order = {}, []
-    absvf = np.abs(vf)
-    rvec = np.random.default_rng(1234).uniform(0.5, 1.5, cfg.dim)
-    for span, mask in reference_flats(cfg, max_corank):
-        key = _flat_key(av, vf, absvf, rvec, mults, span, mask, catalog._ROUND)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((span, int(mask.sum())))
-    out = []
-    for key in order:
-        span, nmem = groups[key][0]
-        out.append(FlatClass(span, nmem, len(span), len(groups[key])))
-    return out
+    groups = {}
+    for span, mask, key in reference_flat_keys(cfg, max_corank):
+        groups.setdefault(key, []).append((span, int(mask.sum())))
+    return [
+        FlatClass(flats[0][0], flats[0][1], len(flats[0][0]), len(flats))
+        for flats in groups.values()
+    ]
 
 
 def _flat_key(av, vf, absvf, rvec, mults, span, mask, rnd):
@@ -118,8 +136,9 @@ def _flat_key(av, vf, absvf, rvec, mults, span, mask, rnd):
 
 
 def _indefinite():
-    """Gram form [[0,-1,0],[-1,0,0],[0,0,1]]: e1 and e2 are isotropic, so
-    the flats they span (and e.g. span(e1, e3)) have a singular m0."""
+    """Gram form [[2,-1,2],[-1,0,0],[2,0,3]], indefinite: e1 is isotropic, so
+    flats such as span(e1, e3) have a singular m0, and it is the root of no
+    reflection."""
     return configuration(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1]],
                          [1, 1, -1, 1, 2])
 
@@ -136,14 +155,58 @@ _CASES = [
 ]
 
 
+def _orbit(members, gens, flats):
+    """The flats reached from one member set by the generators (BFS); every
+    image must be a flat of the walk."""
+    orbit, todo = {members}, [members]
+    while todo:
+        cur = todo.pop()
+        for perm in gens:
+            img = frozenset(perm[i] for i in cur)
+            assert img in flats, "a generator image is not a flat"
+            if img not in orbit:
+                orbit.add(img)
+                todo.append(img)
+    return orbit
+
+
 @pytest.mark.parametrize("cells", [catalog._CHUNK_CELLS, 1, 40])
 @pytest.mark.parametrize("name,make,corank", _CASES, ids=[c[0] for c in _CASES])
 def test_batched_sweep_matches_per_flat_oracle(monkeypatch, name, make, corank, cells):
-    # cells=1 puts each flat in a chunk of its own; cells=40 mixes singular
-    # and regular flats of the indefinite parent within one chunk
+    # cells=1 puts each flat in a chunk of its own, for the walk and the
+    # labelling alike; cells=40 splits levels into chunks of a few flats
     monkeypatch.setattr(catalog, "_CHUNK_CELLS", cells)
     cfg = make()
-    assert enumerate_flat_classes(cfg, corank) == reference_flat_classes(cfg, corank)
+    classes = enumerate_flat_classes(cfg, corank)
+    oracle = reference_flat_keys(cfg, corank)
+    walk = {
+        frozenset(np.flatnonzero(mask).tolist()): (i, key)
+        for i, (_, mask, key) in enumerate(oracle)
+    }
+    first = {span: i for i, (span, _, _) in enumerate(oracle)}
+    gens = [perm for perm, _ in simple_reflections(cfg)]
+    covered = set()
+    for fc in classes:
+        rep = first[fc.span_indices]
+        members = frozenset(np.flatnonzero(oracle[rep][1]).tolist())
+        assert fc.n_members == len(members) and fc.corank == len(fc.span_indices)
+        orbit = _orbit(members, gens, walk)
+        assert len(orbit) == fc.class_size
+        # the representative is the orbit's first flat in walk order
+        assert min(walk[f][0] for f in orbit) == rep
+        # the orbit lies inside one fingerprint class
+        assert len({walk[f][1] for f in orbit}) == 1
+        assert not covered & orbit
+        covered |= orbit
+    assert [fc.span_indices for fc in classes] == sorted(
+        (fc.span_indices for fc in classes), key=lambda s: (len(s), first[s])
+    )
+    # the orbits partition every level
+    for level in range(1, corank + 1):
+        assert sum(fc.class_size for fc in classes if fc.corank == level) == sum(
+            len(span) == level for span, _, _ in oracle
+        )
+    assert len(covered) == len(oracle)
 
 
 def _random_parents(count, seed=2024):
@@ -169,9 +232,10 @@ def _random_parents(count, seed=2024):
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("cfg", _random_parents(6), ids=lambda cfg: cfg.name)
 def test_batched_walk_matches_oracle_on_random_deformations(cfg, chunk):
-    # The walk is compared flat by flat.  The grouping is not: on such
-    # parameters a fingerprint sum can fall exactly on a rounding boundary,
-    # where both sweeps split classes by float noise.
+    # The walk is compared flat by flat.  The grouping is compared through
+    # the catalog only (below): on such parameters a fingerprint sum of the
+    # oracle can fall exactly on a rounding boundary, where float noise
+    # splits an orbit.
     corank = cfg.dim - 1
     av = _float_matrix(cfg.covectors)
     got = [
@@ -184,9 +248,15 @@ def test_batched_walk_matches_oracle_on_random_deformations(cfg, chunk):
     assert all((m == w).all() for (_, m), (_, w) in zip(got, want))
 
 
-def test_singular_flats_take_the_lstsq_fallback(monkeypatch):
-    calls = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
-    enumerate_flat_classes(_indefinite(), 2)
-    assert calls
+# the indefinite parent is left out: it has no lambda^2, so no catalog
+_CATALOG_CASES = _CASES[:-1] + [
+    (cfg.name, lambda cfg=cfg: cfg, cfg.dim - 1) for cfg in _random_parents(6)
+]
+
+
+@pytest.mark.parametrize("name,make,corank", _CATALOG_CASES, ids=[c[0] for c in _CATALOG_CASES])
+def test_catalog_equal_on_orbits_and_fingerprint_classes(monkeypatch, name, make, corank):
+    cfg = make()
+    got = build_catalog(cfg, name, "", corank).dumps()
+    monkeypatch.setattr(catalog, "enumerate_flat_classes", reference_flat_classes)
+    assert got == build_catalog(cfg, name, "", corank).dumps()
