@@ -1,16 +1,16 @@
 """Batch restriction catalogs: enumerate flats, group them into orbits,
 restrict, dedup.
 
-Flats (subsets of the form configuration-intersect-span) are enumerated by
-extending smaller flats one collinearity class at a time, in guarded floating
-point, one corank level at a time, on fixed-size chunks of stacked arrays:
-the large temporaries are bounded by the chunk size, and beyond them a flat
-costs only its spanning anchors and its member set as packed bits.  Each
-level's flats are grouped exactly, into orbits under the configuration's
-simple reflections, found on the integer view.  Each class representative is
-re-verified and restricted in exact arithmetic.  Entries are merged by
-``canonical_digest``, which keys on intrinsic invariants of the restriction
-and is the one heuristic left: full linear-equivalence testing is out of scope.
+Flats (subsets of the form configuration-intersect-span) are enumerated
+exactly on the integer view by extending smaller flats one collinearity class
+at a time, level by level, on fixed-size chunks of int64 arrays checked
+against overflow: the large temporaries are bounded by the chunk size, and
+beyond them a flat costs only its spanning anchors and its member set as
+packed bits.  Each level's flats are grouped into orbits under the
+configuration's simple reflections.  Each class representative is re-verified
+and restricted exactly.  Entries are merged by ``canonical_digest``, which
+keys on intrinsic invariants of the restriction and is the one heuristic left:
+full linear-equivalence testing is out of scope.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .configuration import (
     auto_functional,
     collinear_classes,
     duals,  # unused here; perfbench/tracer.py wraps trigvee.catalog.duals
-    float_view,
     lattice,
     normalize_positive,
     pairings,
@@ -38,7 +37,7 @@ from .veesystem import lambda_sq, subsystem, vee_residuals
 
 
 class CatalogError(RuntimeError):
-    """An entry, or a flat of the float walk, failed its exact check."""
+    """An entry or a flat failed its exact check, or the walk would overflow."""
 
 
 def pairing_profile(cfg: Configuration) -> tuple:
@@ -82,8 +81,7 @@ class FlatClass:
     class_size: int
 
 
-_PAR_TOL = 1e-9
-# Float64 cells in one stacked (chunk, n, n) temporary (8 MB); a walk chunk holds
+# Cells in one stacked (chunk, n, n) temporary (1 MB of bools); a walk chunk holds
 # max(1, _CHUNK_CELLS // n**2) flats, which bounds the walk's large temporaries.
 # The orbit labelling unpacks _CHUNK_CELLS // n member masks (1 MB) at a time.
 _CHUNK_CELLS = 1 << 20
@@ -104,7 +102,7 @@ def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClas
         return []
     n = len(cfg)
     gens = [np.array(perm) for perm, _ in simple_reflections(cfg)]
-    levels = _levels(float_view(cfg).covectors, collinear_classes(cfg), max_corank,
+    levels = _levels(lattice(cfg).covectors, collinear_classes(cfg), max_corank,
                      max(1, _CHUNK_CELLS // (n * n)))
     out: list[FlatClass] = []
     for corank, (spans, packed) in enumerate(levels, 1):
@@ -164,58 +162,74 @@ def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
     ]
 
 
-def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    return np.unpackbits(packed, axis=1, count=n).astype(bool)
-
-
-def _levels(av, classes, max_corank, chunk):
+def _levels(covs, classes, max_corank, chunk):
     """The flats of corank 1..max_corank, one level at a time, as (spans,
     packed): spans[f] are the anchors spanning flat f, packed[f] its member
-    set as packbits.  Level 1 is the collinearity classes themselves (exact)."""
-    n = av.shape[0]
+    set as packbits.  The walk starts from the empty flat (annihilator: all of
+    V), so level 1 is the collinearity classes in anchor order.  No entry of a
+    level exceeds 2 dim max|lat| max|kern|^2, which must stay below 2^62."""
+    dim = len(covs[0])
+    bound = 2 * dim * max(abs(x) for a in covs for x in a)
     anchors = np.array([cls.anchor for cls in classes])
-    masks = np.zeros((len(classes), n), dtype=bool)
-    for row, cls in zip(masks, classes):
-        row[list(cls.indices)] = True
-    spans, packed = anchors[:, None], np.packbits(masks, axis=1)
+    spans, kern = np.empty((1, 0), dtype=np.intp), np.eye(dim, dtype=np.int64)[None]
     for corank in range(1, max_corank + 1):
-        if corank > 1:
-            spans, packed = _next_level(av, anchors, spans, packed, chunk)
+        if bound * int(np.abs(kern).max()) ** 2 >= 1 << 62:
+            raise CatalogError("the flats of corank %d could overflow int64" % corank)
+        lat = np.array(covs, dtype=np.int64)  # within the bound just checked
+        spans, packed, kern = _next_level(lat, anchors, spans, kern, chunk, corank < max_corank)
         if not len(spans):
             return
         yield spans, packed
 
 
-def _next_level(av, anchors, spans, packed, chunk) -> tuple[np.ndarray, np.ndarray]:
-    """Extend every flat of one level by each anchor outside it.
+def _next_level(lat, anchors, spans, kern, chunk, extend) -> tuple[np.ndarray, ...]:
+    """Extend every flat of one level by each anchor outside it, exactly.
 
+    kern[f] spans the annihilator of flat f, so lat @ kern[f].T is every
+    covector modulo f.  Divided by its gcd and signed by its first nonzero
+    entry, a covector's row is zero in f and equals anchor a's row in span(f, a).
     New flats are kept in the order they are first reached (parent flat, then
-    anchor), which fixes the representative span of each."""
-    n = av.shape[0]
-    seen: set[bytes] = set()
-    new_spans, new_packed = [], []
+    anchor), which fixes the representative span of each.  Their annihilators
+    are built only when ``extend``; otherwise an empty array stands in."""
+    new_f, new_a, new_packed = [], [], []
     for lo in range(0, len(spans), chunk):
-        span = spans[lo:lo + chunk]
-        mask = _unpack(packed[lo:lo + chunk], n)
-        q, _ = np.linalg.qr(av[span].transpose(0, 2, 1))
-        resid = av - (av @ q) @ q.transpose(0, 2, 1)
-        norms = np.linalg.norm(resid, axis=2)
-        inspan = norms < _PAR_TOL
-        unit = resid / np.where(inspan, 1.0, norms)[..., None]
-        cos = unit[:, anchors] @ unit.transpose(0, 2, 1)
-        par = np.abs(cos, out=cos) > 1.0 - _PAR_TOL
-        grown = np.packbits(par, axis=2) | np.packbits(mask | inspan, axis=1)[:, None, :]
-        f, a = np.nonzero(~mask[:, anchors])
+        img = lat @ kern[lo:lo + chunk].transpose(0, 2, 1)
+        img //= np.maximum(np.gcd.reduce(img, axis=2), 1)[..., None]
+        img *= np.sign(np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None], axis=2))
+        _, ids = np.unique(_row_keys(img.reshape(-1, img.shape[2])), return_inverse=True)
+        ids = ids.reshape(img.shape[:2])
+        inspan = ~img.any(axis=2)
+        par = ids[:, anchors, None] == ids[:, None, :]
+        grown = np.packbits(par | inspan[:, None, :], axis=2)
+        f, a = np.nonzero(~inspan[:, anchors])
         rows = grown[f, a]
-        fresh = []
-        for i, row in enumerate(rows):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        new_spans.append(np.column_stack([span[f[fresh]], anchors[a[fresh]]]))
-        new_packed.append(rows[fresh])
-    return np.concatenate(new_spans), np.concatenate(new_packed)
+        first = _first_rows(rows)
+        new_f.append(lo + f[first])
+        new_a.append(anchors[a[first]])
+        new_packed.append(rows[first])
+    packed = np.concatenate(new_packed)
+    first = _first_rows(packed)
+    f, a = np.concatenate(new_f)[first], np.concatenate(new_a)[first]
+    kids = _extend_kernels(lat[a], kern[f]) if extend else kern[:0]
+    return np.column_stack([spans[f], a]), packed[first], kids
+
+
+def _first_rows(rows) -> np.ndarray:
+    """The index of each distinct row's first occurrence, in order."""
+    return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
+
+
+def _extend_kernels(a, kern) -> np.ndarray:
+    """Annihilator rows of span(f, a) from f's rows kern and a's image
+    r = kern @ a: r[p] * kern[j] - r[j] * kern[p] for j != p, p the first
+    nonzero of r, each divided by its gcd."""
+    m, k, dim = kern.shape
+    r = (kern @ a[:, :, None])[..., 0]
+    p = (r != 0).argmax(axis=1)
+    at = np.arange(m)
+    out = r[at, p, None, None] * kern - r[:, :, None] * kern[at, p][:, None, :]
+    out = out[np.arange(k) != p[:, None]].reshape(m, k - 1, dim)
+    return out // np.gcd.reduce(out, axis=2)[..., None]
 
 
 def _orbit_labels(spans, packed, gens, n, chunk) -> np.ndarray:
@@ -230,7 +244,7 @@ def _orbit_labels(spans, packed, gens, n, chunk) -> np.ndarray:
     keys = _row_keys(packed)[order]
     images = np.empty((len(gens), m), dtype=np.intp)
     for lo in range(0, m, chunk):
-        mask = _unpack(packed[lo:lo + chunk], n)
+        mask = np.unpackbits(packed[lo:lo + chunk], axis=1, count=n).astype(bool)
         for g, perm in enumerate(gens):
             img = _row_keys(np.packbits(mask[:, perm], axis=1))
             pos = np.minimum(keys.searchsorted(img), m - 1)
@@ -238,7 +252,7 @@ def _orbit_labels(spans, packed, gens, n, chunk) -> np.ndarray:
             if len(miss):
                 raise CatalogError(
                     "a reflection maps the flat spanned by %s to a covector set the "
-                    "float sweep did not find" % spans[lo + miss[0]].tolist()
+                    "walk did not find" % spans[lo + miss[0]].tolist()
                 )
             images[g, lo:lo + chunk] = order[pos]
     label = np.arange(m)
@@ -250,10 +264,10 @@ def _orbit_labels(spans, packed, gens, n, chunk) -> np.ndarray:
         label = new
 
 
-def _row_keys(packed: np.ndarray) -> np.ndarray:
-    """One opaque, orderable key per row of packed member bits."""
-    packed = np.ascontiguousarray(packed)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque, orderable key per row of a 2-d array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 @dataclass(frozen=True)
@@ -328,7 +342,7 @@ def build_catalog(
         handle = subsystem(cfg, fc.span_indices)
         if len(handle.member_indices) != fc.n_members:
             raise CatalogError(
-                "%s: the float sweep counts %d members, the exact span closure %d"
+                "%s: the walk counts %d members, the exact span closure %d"
                 % (where, fc.n_members, len(handle.member_indices))
             )
         res = restrict(cfg, handle)

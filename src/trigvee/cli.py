@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .configuration import from_json_dict, to_json_dict
 from .exactla import rat
-from .families import family_spec, generate
+from .families import PARAM_NAMES, family_spec, generate
 from .gamma import gamma_sq_direct, gamma_tilde_sq, gamma_tilde_sq_dual, root_data
 from .catalog import CatalogError, build_catalog
 from .restriction import CDeltaZeroError, restrict
@@ -30,6 +30,10 @@ from . import wdvv as wdvv_mod
 
 class InputError(ValueError):
     pass
+
+
+# Families whose catalog parameters all default to 1: the root systems themselves.
+_ROOT_SYSTEMS = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
 
 def _load_config(path: str):
@@ -195,17 +199,9 @@ def _cmd_gamma(args) -> int:
 def _cmd_catalog(args) -> int:
     params = _parse_params(args.param)
     if not params:
-        names = {"E6": "t", "E7": "t", "E8": "t", "A": "t", "D": "t"}
-        if args.family in names:
-            params[names[args.family]] = Fraction(1)
-        elif args.family in ("B", "C", "G2"):
-            params = {"p": Fraction(1), "q": Fraction(1)}
-        elif args.family == "BC":
-            params = {"r": Fraction(1), "s": Fraction(1), "q": Fraction(1)}
-        elif args.family == "F4":
-            params = {"r": Fraction(1), "s": Fraction(1)}
-        else:
+        if args.family not in _ROOT_SYSTEMS:
             raise InputError("family %s needs explicit --param values" % args.family)
+        params = dict.fromkeys(PARAM_NAMES[args.family], Fraction(1))
     spec = family_spec(args.family, rank=args.rank, **params)
     cfg = generate(spec)
     label = ",".join("%s=%s" % kv for kv in spec.params)

@@ -2,9 +2,9 @@
 
 The pair (covectors, multiplicities) determines the weighted Gram form, dual
 vectors, collinearity classes with their weighted sums, and a positive-system
-normalization.  Configurations are immutable, so derived data, exact and
-float, is computed once and kept on the instance itself (``memo``): it is
-freed with the configuration, and equality and hashing see only the fields.
+normalization.  Configurations are immutable, so derived data is computed
+once and kept on the instance itself (``memo``): it is freed with the
+configuration, and equality and hashing see only the fields.
 Every exact layer runs on one integer view per configuration, ``lattice``,
 ``gram_inverse_cleared`` and ``pairings``, each over one common denominator;
 the Fraction ``duals`` remain for subsystem duals, gamma and wdvv.
@@ -19,8 +19,6 @@ from functools import wraps
 from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
 
 from .exactla import (
     Mat,
@@ -146,26 +144,6 @@ def pairings(cfg: Configuration) -> tuple[list[list[int]], int]:
     gi, gi_den = gram_inverse_cleared(cfg)
     dv = [[sum(map(mul, row, a)) for row in gi] for a in lat.covectors]
     return [[sum(map(mul, a, b)) for b in dv] for a in lat.covectors], lat.denominator**2 * gi_den
-
-
-def floats(rows) -> np.ndarray:
-    """A read-only float64 array of exact rational data."""
-    out = np.array(rows, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-class FloatView(NamedTuple):
-    covectors: np.ndarray  # one row per covector
-    multiplicities: np.ndarray
-    gram: np.ndarray
-
-
-@memo
-def float_view(cfg: Configuration) -> FloatView:
-    """Read-only float64 copies of the covectors, multiplicities and Gram form."""
-    covs = floats(cfg.covectors).reshape(len(cfg), cfg.dim)
-    return FloatView(covs, floats(cfg.multiplicities), floats(gram(cfg)))
 
 
 @dataclass(frozen=True)

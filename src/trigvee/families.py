@@ -39,7 +39,7 @@ FAMILIES = (
     "RestrictedA",
 )
 
-_PARAM_NAMES = {
+PARAM_NAMES = {
     "A": ("t",),
     "B": ("p", "q"),
     "C": ("p", "q"),
@@ -91,7 +91,7 @@ class FamilySpec:
 def family_spec(family: str, rank: int | None = None, partition=None, **params) -> FamilySpec:
     if family not in FAMILIES:
         raise UnsupportedParamsError("unknown family %r" % family)
-    names = _PARAM_NAMES[family]
+    names = PARAM_NAMES[family]
     for k in params:
         if k not in names:
             raise UnsupportedParamsError("family %s takes parameters %s, got %r" % (family, names, k))
@@ -382,7 +382,7 @@ def generate(spec: FamilySpec) -> Configuration:
     if fam == "FourDimA2":
         return _gen_four_dim_a2(spec.param("r"), spec.param("s"))
     if fam in ("Planar6", "Planar8", "Planar9", "Planar10"):
-        return _gen_planar(fam, tuple(spec.param(k) for k in _PARAM_NAMES[fam]))
+        return _gen_planar(fam, tuple(spec.param(k) for k in PARAM_NAMES[fam]))
     if fam in ("RestrictedBC", "RestrictedA"):
         return restricted_family(spec)
     raise UnsupportedParamsError("unknown family %r" % fam)

@@ -28,7 +28,7 @@ class SeriesDecomposition:
 
 
 def series_with_signs(
-    cfg: Configuration, alpha_index: int, integral_steps: bool = True
+    cfg: Configuration, alpha_index: int
 ) -> list[tuple[list[int], dict[int, int]]]:
     """Series together with the relative wedge signs of their members.
 
@@ -54,7 +54,7 @@ def series_with_signs(
         if lead == 0:
             continue  # collinear with alpha: belongs to delta_alpha, not to any series
         sign = 1 if lead > 0 else -1
-        step = sign * gp % period if integral_steps else 0
+        step = sign * gp % period
         key = (rho if sign > 0 else tuple(-x for x in rho), step)
         members, signs = buckets.setdefault(key, ([], {}))
         members.append(g)
@@ -62,16 +62,9 @@ def series_with_signs(
     return list(buckets.values())
 
 
-def alpha_series(
-    cfg: Configuration, alpha_index: int, integral_steps: bool = True
-) -> SeriesDecomposition:
-    """Partition of everything outside alpha's collinearity class into series.
-
-    With ``integral_steps=False`` the step m may be any rational (exploratory
-    mode); the default requires m to be an integer multiple of alpha exactly
-    as the series relation states it.
-    """
-    groups = series_with_signs(cfg, alpha_index, integral_steps)
+def alpha_series(cfg: Configuration, alpha_index: int) -> SeriesDecomposition:
+    """Partition of everything outside alpha's collinearity class into series."""
+    groups = series_with_signs(cfg, alpha_index)
     series = tuple(tuple(sorted(members)) for members, _ in groups)
     series = tuple(sorted(series, key=lambda s: s[0]))
     return SeriesDecomposition(alpha_index, series)

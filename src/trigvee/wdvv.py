@@ -4,16 +4,17 @@ Builds the third-derivative matrices of the trigonometric prepotential with
 the auxiliary cubic variable, evaluates the commutator conditions and the
 tangent-space product at seeded random sample points, and reports scaled
 residuals.  Only the cotangent is ever evaluated; the prepotential itself is
-never needed.
+never needed.  All of it runs on float64 copies of the exact data (``float_view``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .configuration import Configuration, duals, float_view, floats, memo
+from .configuration import Configuration, duals, gram, memo
 
 
 class PoleTooCloseError(ValueError):
@@ -57,6 +58,26 @@ def _lambda_from_sq(lambda_sq) -> complex:
 
 # Smallest |sin a(x)| over the covectors that a sample point may have.
 POLE_GUARD = 1.0 / 20
+
+
+def floats(rows) -> np.ndarray:
+    """A read-only float64 array of exact rational data."""
+    out = np.array(rows, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+class FloatView(NamedTuple):
+    covectors: np.ndarray  # one row per covector
+    multiplicities: np.ndarray
+    gram: np.ndarray
+
+
+@memo
+def float_view(cfg: Configuration) -> FloatView:
+    """Read-only float64 copies of the covectors, multiplicities and Gram form."""
+    covs = floats(cfg.covectors).reshape(len(cfg), cfg.dim)
+    return FloatView(covs, floats(cfg.multiplicities), floats(gram(cfg)))
 
 
 @memo

@@ -4,7 +4,7 @@ import pytest
 
 from trigvee.cli import main
 from trigvee.configuration import from_json_dict, to_json_dict
-from trigvee.families import family_spec, generate
+from trigvee.families import PARAM_NAMES, family_spec, generate
 from trigvee.veesystem import lambda_sq
 
 
@@ -123,6 +123,29 @@ def test_catalog_command(tmp_path, capsys):
     )
 
 
+_DEFAULT_FAMILIES = [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("BC", 3),
+    ("E6", None), ("E7", None), ("E8", None), ("F4", None), ("G2", None),
+]
+
+
+@pytest.mark.parametrize("family,rank", _DEFAULT_FAMILIES, ids=[f for f, _ in _DEFAULT_FAMILIES])
+def test_catalog_parameters_default_to_1(family, rank, capsys):
+    command = ["catalog", "--family", family, "--max-corank", "1"]
+    if rank is not None:
+        command += ["--rank", str(rank)]
+    code, implicit, _ = run(capsys, *command)
+    assert code == 0
+    explicit = [arg for name in PARAM_NAMES[family] for arg in ("--param", name + "=1")]
+    assert run(capsys, *command, *explicit) == (0, implicit, "")
+
+
+def test_catalog_four_dim_needs_explicit_params(capsys):
+    code, out, err = run(capsys, "catalog", "--family", "FourDim", "--max-corank", "1")
+    assert code == 2 and out == ""
+    assert err == "error: family FourDim needs explicit --param values\n"
+
+
 def test_gen_unknown_family_exit_2(capsys):
     assert run(capsys, "gen", "--family", "H3", "--rank", "3")[0] == 2
 
@@ -149,7 +172,7 @@ def test_catalog_error_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(catalog, "enumerate_flat_classes", miscounted)
     code, out, err = run(capsys, "catalog", "--family", "G2", "--max-corank", "1")
     assert code == 1 and out == ""
-    assert err.startswith("error: flat spanned by [0]: the float sweep counts 2 members")
+    assert err.startswith("error: flat spanned by [0]: the walk counts 2 members")
     assert "exact span closure 1" in err and "Traceback" not in err
 
 

@@ -1,5 +1,7 @@
+import importlib
 import json
 import random
+import types
 from fractions import Fraction as Q
 
 import pytest
@@ -167,3 +169,15 @@ def test_json_rejects_floats():
         from_json_dict({"dim": 2, "covectors": [[1.5, 0]], "multiplicities": ["1"]})
     with pytest.raises(ValueError):
         from_json_dict({"dim": 2, "covectors": [["1", "0"]], "multiplicities": [0.25]})
+
+
+@pytest.mark.parametrize(
+    "name", ["configuration", "veesystem", "series", "restriction", "exactla", "families", "gamma"]
+)
+def test_exact_modules_hold_no_numpy(name):
+    module = importlib.import_module("trigvee." + name)
+    held = [
+        key for key, value in vars(module).items()
+        if isinstance(value, types.ModuleType) and value.__name__.partition(".")[0] == "numpy"
+    ]
+    assert held == []

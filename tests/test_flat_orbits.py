@@ -94,5 +94,5 @@ def test_flat_missing_from_the_walk_is_an_error(monkeypatch):
     monkeypatch.setattr(
         catalog, "_next_level", lambda *args: tuple(x[:-1] for x in real(*args))
     )
-    with pytest.raises(CatalogError, match="float sweep did not find"):
+    with pytest.raises(CatalogError, match="walk did not find"):
         enumerate_flat_classes(generate(family_spec("F4", r=1, s=1)), 2)

@@ -1,12 +1,13 @@
-"""Differential tests of the batched flat sweep against the per-flat oracle.
+"""Differential tests of the batched flat sweep against two oracles.
 
-The oracle is the original walk (one QR and parallel test per span) with
-the original float fingerprint per flat.  The sweep's classes are exact
-reflection orbits, which refine the fingerprint classes: D4's triality, for
-one, is not a reflection, so its orbits are finer than the fingerprint
-classes.  The tests therefore check that each orbit lies inside one
-fingerprint class, that the orbits partition each level, and that the
-catalog built on either grouping is the same.
+The exact oracle is ``subsystem``'s span closure of each flat's spanning
+anchors.  The float oracle is the original walk (one QR and parallel test
+per span) with the original float fingerprint per flat.  The sweep's
+classes are exact reflection orbits, which refine the fingerprint classes:
+D4's triality, for one, is not a reflection, so its orbits are finer than
+the fingerprint classes.  The tests therefore check that each orbit lies
+inside one fingerprint class, that the orbits partition each level, and
+that the catalog built on either grouping is the same.
 """
 
 import random
@@ -16,20 +17,31 @@ import numpy as np
 import pytest
 
 from trigvee import catalog
-from trigvee.catalog import FlatClass, build_catalog, enumerate_flat_classes, simple_reflections
-from trigvee.configuration import collinear_classes, configuration, duals
+from trigvee.catalog import (
+    CatalogError,
+    FlatClass,
+    build_catalog,
+    enumerate_flat_classes,
+    simple_reflections,
+)
+from trigvee.configuration import collinear_classes, configuration, duals, lattice
 from trigvee.exactla import SingularMatrixError
 from trigvee.families import family_spec, generate, restricted_family
+from trigvee.veesystem import subsystem
 
 
 def _float_matrix(rows):
     return np.array([[float(x) for x in r] for r in rows], dtype=float)
 
 
+# tolerance of the float oracle's in-span and parallel tests
+_PAR_TOL = 1e-9
+
+
 def reference_flats(cfg, max_corank):
     """The original level walk: one QR and parallel test per span; returns
     every flat as (span, member mask), level by level in first-seen order."""
-    tol = catalog._PAR_TOL
+    tol = _PAR_TOL
     n = len(cfg)
     av = _float_matrix(cfg.covectors)
     classes = collinear_classes(cfg)
@@ -237,15 +249,44 @@ def test_batched_walk_matches_oracle_on_random_deformations(cfg, chunk):
     # oracle can fall exactly on a rounding boundary, where float noise
     # splits an orbit.
     corank = cfg.dim - 1
-    av = _float_matrix(cfg.covectors)
+    covs = lattice(cfg).covectors
     got = [
         (tuple(s.tolist()), m)
-        for spans, packed in catalog._levels(av, collinear_classes(cfg), corank, chunk)
+        for spans, packed in catalog._levels(covs, collinear_classes(cfg), corank, chunk)
         for s, m in zip(spans, np.unpackbits(packed, axis=1, count=len(cfg)).astype(bool))
     ]
     want = reference_flats(cfg, corank)
     assert [s for s, _ in got] == [s for s, _ in want]
     assert all((m == w).all() for (_, m), (_, w) in zip(got, want))
+
+
+_EXACT_CASES = _CASES + [
+    ("F4(-1,-2/3)", lambda: generate(family_spec("F4", r=-1, s=Fraction(-2, 3))), 3),
+] + [(cfg.name, lambda cfg=cfg: cfg, cfg.dim - 1) for cfg in _random_parents(6)]
+
+
+@pytest.mark.parametrize("default_chunk", [False, True])
+@pytest.mark.parametrize("name,make,corank", _EXACT_CASES, ids=[c[0] for c in _EXACT_CASES])
+def test_walk_members_equal_exact_span_closure(name, make, corank, default_chunk):
+    cfg = make()
+    n = len(cfg)
+    chunk = max(1, catalog._CHUNK_CELLS // (n * n)) if default_chunk else 1
+    levels = catalog._levels(lattice(cfg).covectors, collinear_classes(cfg), corank, chunk)
+    for spans, packed in levels:
+        for span, mask in zip(spans, np.unpackbits(packed, axis=1, count=n)):
+            members = subsystem(cfg, span.tolist()).member_indices
+            assert np.flatnonzero(mask).tolist() == list(members), span.tolist()
+
+
+def test_walk_refuses_entries_that_could_overflow():
+    # level 1 fits in int64, but the annihilators of its flats carry entries
+    # near 2^40, so the products of level 2 could wrap around
+    big = 1 << 40
+    cfg = configuration(3, [[big + 1, 3, 5], [7, big + 3, 1], [2, 1, big + 5], [1, 1, 1]],
+                        [1, 1, 1, 1])
+    assert len(enumerate_flat_classes(cfg, 1)) == 4
+    with pytest.raises(CatalogError, match="overflow int64"):
+        enumerate_flat_classes(cfg, 2)
 
 
 # the indefinite parent is left out: it has no lambda^2, so no catalog

@@ -48,7 +48,7 @@ def rational_configurations(draw):
     return Configuration(dim, tuple(covs), tuple(mults))
 
 
-def fraction_series_with_signs(cfg, a, integral_steps=True):
+def fraction_series_with_signs(cfg, a):
     """The Fraction-keyed grouping: transverse part, sign, fractional step."""
     alpha = cfg.covectors[a]
     p = next(k for k in range(cfg.dim) if alpha[k] != 0)
@@ -60,7 +60,7 @@ def fraction_series_with_signs(cfg, a, integral_steps=True):
             continue
         sign = 1 if next(x for x in rho if x != 0) > 0 else -1
         w = sign * t
-        step = w - w.numerator // w.denominator if integral_steps else 0
+        step = w - w.numerator // w.denominator
         members, signs = buckets.setdefault((tuple(sign * x for x in rho), step), ([], {}))
         members.append(g)
         signs[g] = sign
@@ -76,20 +76,20 @@ def _has_duals(cfg):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rational_configurations(), st.booleans())
-def test_series_match_oracles(cfg, integral):
+@given(rational_configurations())
+def test_series_match_oracles(cfg):
     for a in range(len(cfg)):
-        groups = series_with_signs(cfg, a, integral)
-        assert groups == fraction_series_with_signs(cfg, a, integral)
-        assert {frozenset(m) for m, _ in groups} == brute_force_series(cfg, a, integral)
+        groups = series_with_signs(cfg, a)
+        assert groups == fraction_series_with_signs(cfg, a)
+        assert {frozenset(m) for m, _ in groups} == brute_force_series(cfg, a)
 
 
 @settings(max_examples=150, deadline=None)
-@given(rational_configurations(), st.booleans())
-def test_series_wedge_signs(cfg, integral):
+@given(rational_configurations())
+def test_series_wedge_signs(cfg):
     for a in range(len(cfg)):
         alpha = cfg.covectors[a]
-        for members, signs in series_with_signs(cfg, a, integral):
+        for members, signs in series_with_signs(cfg, a):
             b1 = members[0]
             w1 = wedge_vector(alpha, cfg.covectors[b1])
             for b2 in members:

@@ -12,7 +12,6 @@ from trigvee.configuration import (
     collinear_classes,
     configuration,
     duals,
-    float_view,
     from_json_dict,
     gram,
     gram_inverse,
@@ -23,7 +22,7 @@ from trigvee.configuration import (
 )
 from trigvee.families import family_spec, generate
 from trigvee.veesystem import g1, g2, lambda_sq, vee_check
-from trigvee.wdvv import float_duals
+from trigvee.wdvv import float_duals, float_view
 
 EXACT = (
     lattice, gram, gram_inverse, gram_inverse_cleared, duals, pairings, collinear_classes,

@@ -45,7 +45,7 @@ def test_g2_long_root_series_pairs_short_roots():
     assert covered == {0, 1, 2, 4, 5}
 
 
-def brute_force_series(cfg, a, integral=True):
+def brute_force_series(cfg, a):
     """Independent oracle: union-find closure of the literal pair relation."""
     alpha = cfg.covectors[a]
     cls = {i for i in range(len(cfg)) if _proportional(cfg.covectors[i], alpha)}
@@ -64,7 +64,7 @@ def brute_force_series(cfg, a, integral=True):
     for i, j in combinations(rest, 2):
         for sign in (1, -1):
             w = tuple(x + sign * y for x, y in zip(cfg.covectors[i], cfg.covectors[j]))
-            if _integer_multiple(w, alpha, integral):
+            if _integer_multiple(w, alpha):
                 union(i, j)
     groups = {}
     for i in rest:
@@ -80,10 +80,10 @@ def _proportional(v, w):
     return all(x == t * y for x, y in zip(v, w))
 
 
-def _integer_multiple(w, alpha, integral):
+def _integer_multiple(w, alpha):
     p = next(k for k in range(len(alpha)) if alpha[k] != 0)
     t = w[p] / alpha[p]
-    if integral and t.denominator != 1:
+    if t.denominator != 1:
         return False
     return all(x == t * y for x, y in zip(w, alpha))
 
@@ -129,7 +129,7 @@ def test_maximality():
                             x + sign * y
                             for x, y in zip(cfg.covectors[b], cfg.covectors[g])
                         )
-                        assert not _integer_multiple(w, alpha, True)
+                        assert not _integer_multiple(w, alpha)
 
 
 def _reflect(beta, alpha):
@@ -166,8 +166,6 @@ def test_rational_step_mode():
     cfg = configuration(2, [[1, 0], [Q(1, 2), 1], [0, 1]], [1, 1, 1])
     strict = series_sets(cfg, 0)
     assert strict == {frozenset({1}), frozenset({2})}
-    loose = {frozenset(s) for s in alpha_series(cfg, 0, integral_steps=False).series}
-    assert loose == {frozenset({1, 2})}
 
 
 def test_m_zero_links_opposites():

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from trigvee.configuration import configuration, float_view
+from trigvee.configuration import configuration
 from trigvee.families import family_spec, generate
 from trigvee.veesystem import lambda_sq
 from trigvee.wdvv import (
@@ -13,6 +13,7 @@ from trigvee.wdvv import (
     _lambda_from_sq,
     associativity_residual,
     base_form,
+    float_view,
     product,
     sample_points,
     third_derivs,
