@@ -2,13 +2,12 @@
 restrict, dedup.
 
 Flats (subsets of the form configuration-intersect-span) are enumerated
-exactly on the integer view by extending smaller flats one collinearity class
-at a time, level by level, on fixed-size chunks of int64 arrays checked
-against overflow: the large temporaries are bounded by the chunk size, and
-beyond them a flat costs only its spanning anchors and its member set as
-packed bits.  Each level's flats are grouped into orbits under the
-configuration's simple reflections.  Each class representative is re-verified
-and restricted exactly.  Entries are merged by ``canonical_digest``, which
+exactly on the integer view, level by level, by extending one representative
+flat per orbit of the configuration's simple reflections by one collinearity
+class at a time, on fixed-size chunks of int64 arrays checked against
+overflow.  Each new orbit is closed breadth-first on packed member bits; its
+size is the class size.  Each class representative is re-verified and
+restricted exactly.  Entries are merged by ``canonical_digest``, which
 keys on intrinsic invariants of the restriction and is the one heuristic left:
 full linear-equivalence testing is out of scope.
 """
@@ -83,7 +82,6 @@ class FlatClass:
 
 # Cells in one stacked (chunk, n, n) temporary (1 MB of bools); a walk chunk holds
 # max(1, _CHUNK_CELLS // n**2) flats, which bounds the walk's large temporaries.
-# The orbit labelling unpacks _CHUNK_CELLS // n member masks (1 MB) at a time.
 _CHUNK_CELLS = 1 << 20
 
 
@@ -91,27 +89,44 @@ def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClas
     """Classes of span-closed subsets of corank 1..max_corank: one per orbit,
     on the member sets, of the group the ``simple_reflections`` generate.
 
-    A class's representative is the first flat of its orbit in walk order
-    and its ``class_size`` the orbit size; classes come out level by level,
-    ordered by representative.  Without reflection symmetries, every flat is
-    a class of its own.
+    The walk starts from the empty flat and extends, level by level, only the
+    previous level's representatives.  A symmetry maps the children of a flat
+    onto the children of its image, so every orbit of a level holds a child
+    of a representative.  A child outside every orbit found so far opens a
+    class: its orbit is closed breadth-first on the member bits, and the
+    orbit size is its ``class_size``.  A class's representative is thus the
+    first child, in (representative, anchor) order, in its orbit, which is
+    also the orbit's first flat in a walk that extends every flat.  Classes
+    come out level by level, ordered by representative.  Without reflection
+    symmetries, every flat is a class of its own.  No entry of a level
+    exceeds 2 dim max|lat| max|kern|^2, which must stay below 2^62.
     """
     if not 0 <= max_corank < cfg.dim:
         raise ValueError("max_corank must lie in [0, dim)")
-    if max_corank == 0:
-        return []
-    n = len(cfg)
-    gens = [np.array(perm) for perm, _ in simple_reflections(cfg)]
-    levels = _levels(lattice(cfg).covectors, collinear_classes(cfg), max_corank,
-                     max(1, _CHUNK_CELLS // (n * n)))
+    n, covs = len(cfg), lattice(cfg).covectors
+    gens = np.array([perm for perm, _ in simple_reflections(cfg)], dtype=np.intp).reshape(-1, n)
+    anchors = np.array([cls.anchor for cls in collinear_classes(cfg)])
+    bound = 2 * cfg.dim * max(abs(x) for a in covs for x in a)
+    spans, kern = np.empty((1, 0), dtype=np.intp), np.eye(cfg.dim, dtype=np.int64)[None]
     out: list[FlatClass] = []
-    for corank, (spans, packed) in enumerate(levels, 1):
-        label = _orbit_labels(spans, packed, gens, n, max(1, _CHUNK_CELLS // n))
-        reps, sizes = np.unique(label, return_counts=True)
+    for corank in range(1, max_corank + 1):
+        if bound * int(np.abs(kern).max()) ** 2 >= 1 << 62:
+            raise CatalogError("the flats of corank %d could overflow int64" % corank)
+        lat = np.array(covs, dtype=np.int64)  # within the bound just checked
+        f, a, packed = _next_level(lat, anchors, kern, max(1, _CHUNK_CELLS // (n * n)))
+        seen, reps, sizes = set(), [], []
+        for i, row in enumerate(packed):
+            if row.tobytes() not in seen:
+                orbit = _orbit(row, gens, n)
+                seen |= orbit
+                reps.append(i)
+                sizes.append(len(orbit))
+        f, a = f[reps], a[reps]
+        spans, kern = np.column_stack([spans[f], a]), _extend_kernels(lat[a], kern[f])
         counts = np.bitwise_count(packed[reps]).sum(axis=1)
         out.extend(
-            FlatClass(tuple(spans[f].tolist()), int(m), corank, int(size))
-            for f, m, size in zip(reps, counts, sizes)
+            FlatClass(tuple(span), int(m), corank, size)
+            for span, m, size in zip(spans.tolist(), counts, sizes)
         )
     return out
 
@@ -162,37 +177,16 @@ def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
     ]
 
 
-def _levels(covs, classes, max_corank, chunk):
-    """The flats of corank 1..max_corank, one level at a time, as (spans,
-    packed): spans[f] are the anchors spanning flat f, packed[f] its member
-    set as packbits.  The walk starts from the empty flat (annihilator: all of
-    V), so level 1 is the collinearity classes in anchor order.  No entry of a
-    level exceeds 2 dim max|lat| max|kern|^2, which must stay below 2^62."""
-    dim = len(covs[0])
-    bound = 2 * dim * max(abs(x) for a in covs for x in a)
-    anchors = np.array([cls.anchor for cls in classes])
-    spans, kern = np.empty((1, 0), dtype=np.intp), np.eye(dim, dtype=np.int64)[None]
-    for corank in range(1, max_corank + 1):
-        if bound * int(np.abs(kern).max()) ** 2 >= 1 << 62:
-            raise CatalogError("the flats of corank %d could overflow int64" % corank)
-        lat = np.array(covs, dtype=np.int64)  # within the bound just checked
-        spans, packed, kern = _next_level(lat, anchors, spans, kern, chunk, corank < max_corank)
-        if not len(spans):
-            return
-        yield spans, packed
-
-
-def _next_level(lat, anchors, spans, kern, chunk, extend) -> tuple[np.ndarray, ...]:
+def _next_level(lat, anchors, kern, chunk) -> tuple[np.ndarray, ...]:
     """Extend every flat of one level by each anchor outside it, exactly.
 
     kern[f] spans the annihilator of flat f, so lat @ kern[f].T is every
     covector modulo f.  Divided by its gcd and signed by its first nonzero
     entry, a covector's row is zero in f and equals anchor a's row in span(f, a).
     New flats are kept in the order they are first reached (parent flat, then
-    anchor), which fixes the representative span of each.  Their annihilators
-    are built only when ``extend``; otherwise an empty array stands in."""
+    anchor), each as its parent f, its anchor a and its member set as packbits."""
     new_f, new_a, new_packed = [], [], []
-    for lo in range(0, len(spans), chunk):
+    for lo in range(0, len(kern), chunk):
         img = lat @ kern[lo:lo + chunk].transpose(0, 2, 1)
         img //= np.maximum(np.gcd.reduce(img, axis=2), 1)[..., None]
         img *= np.sign(np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None], axis=2))
@@ -209,9 +203,7 @@ def _next_level(lat, anchors, spans, kern, chunk, extend) -> tuple[np.ndarray, .
         new_packed.append(rows[first])
     packed = np.concatenate(new_packed)
     first = _first_rows(packed)
-    f, a = np.concatenate(new_f)[first], np.concatenate(new_a)[first]
-    kids = _extend_kernels(lat[a], kern[f]) if extend else kern[:0]
-    return np.column_stack([spans[f], a]), packed[first], kids
+    return np.concatenate(new_f)[first], np.concatenate(new_a)[first], packed[first]
 
 
 def _first_rows(rows) -> np.ndarray:
@@ -232,36 +224,17 @@ def _extend_kernels(a, kern) -> np.ndarray:
     return out // np.gcd.reduce(out, axis=2)[..., None]
 
 
-def _orbit_labels(spans, packed, gens, n, chunk) -> np.ndarray:
-    """label[f]: the first flat, in walk order, of flat f's orbit under gens.
-
-    Each generator maps a chunk of member sets at a time; the images are
-    found among the level's flats by their packed bits, and the labels are
-    merged by min-propagation with pointer jumping (the generators are
-    involutions, so each image edge runs both ways)."""
-    m = len(packed)
-    order = _row_keys(packed).argsort()
-    keys = _row_keys(packed)[order]
-    images = np.empty((len(gens), m), dtype=np.intp)
-    for lo in range(0, m, chunk):
-        mask = np.unpackbits(packed[lo:lo + chunk], axis=1, count=n).astype(bool)
-        for g, perm in enumerate(gens):
-            img = _row_keys(np.packbits(mask[:, perm], axis=1))
-            pos = np.minimum(keys.searchsorted(img), m - 1)
-            miss = np.flatnonzero(keys[pos] != img)
-            if len(miss):
-                raise CatalogError(
-                    "a reflection maps the flat spanned by %s to a covector set the "
-                    "walk did not find" % spans[lo + miss[0]].tolist()
-                )
-            images[g, lo:lo + chunk] = order[pos]
-    label = np.arange(m)
-    while True:
-        new = np.minimum(label, label[images].min(axis=0, initial=m))
-        new = new[new]
-        if (new == label).all():
-            return label
-        label = new
+def _orbit(row, gens, n) -> set[bytes]:
+    """The orbit of one packed member set under the index permutations gens,
+    closed breadth-first, as the bytes of each packed member set."""
+    orbit, todo, size = {row.tobytes()}, row[None], row.size
+    while len(todo):
+        mask = np.unpackbits(todo, axis=1, count=n)
+        buf = np.packbits(np.take(mask, gens, axis=1), axis=2).tobytes()
+        new = {buf[i:i + size] for i in range(0, len(buf), size)} - orbit
+        orbit |= new
+        todo = np.frombuffer(b"".join(new), dtype=np.uint8).reshape(-1, size)
+    return orbit
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -166,17 +166,19 @@ _GAMMA_DUAL_SPEC = {
 
 def _cmd_gamma(args) -> int:
     fam = args.family
-    rd = root_data(fam, args.rank)
+    # family_spec checks the rank, which root_data takes on trust
+    rank = family_spec(fam, args.rank, **dict.fromkeys(PARAM_NAMES.get(fam, ()), 1)).rank
+    rd = root_data(fam, rank)
     if rd.simply_laced:
         if args.t is None:
             raise InputError("family %s takes --t" % fam)
         mult = {"all": rat(args.t)}
-        spec = family_spec(fam, args.rank, t=rat(args.t) / 2)
+        spec = family_spec(fam, rank, t=rat(args.t) / 2)
     else:
         if args.p is None or args.q is None:
             raise InputError("family %s takes --p (short) and --q (long)" % fam)
         mult = {"short": rat(args.p), "long": rat(args.q)}
-        spec = _GAMMA_DUAL_SPEC[fam](args.rank, rat(args.p), rat(args.q))
+        spec = _GAMMA_DUAL_SPEC[fam](rank, rat(args.p), rat(args.q))
     highest = gamma_tilde_sq(rd, mult)
     dual_form = gamma_tilde_sq_dual(rd, mult)
     direct = gamma_sq_direct(generate(spec), rd)

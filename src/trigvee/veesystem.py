@@ -324,6 +324,8 @@ def subsystem(cfg: Configuration, span_indices) -> SubsystemHandle:
     chosen = tuple(span_indices)
     if not chosen:
         raise ValueError("span_indices must be nonempty")
+    if not all(0 <= i < len(cfg) for i in chosen):
+        raise ValueError("span_indices must lie in [0, %d), got %s" % (len(cfg), list(chosen)))
     basis_idx = [chosen[i] for i in independent([cfg.covectors[i] for i in chosen])]
     kernel, _ = nullspace_cleared([cfg.covectors[i] for i in basis_idx], cfg.dim)
     lat = lattice(cfg)

@@ -110,6 +110,29 @@ def test_gamma_command(capsys):
     assert run(capsys, "gamma", "--family", "BC", "--rank", "3", "--p", "1", "--q", "1")[0] == 2
 
 
+@pytest.mark.parametrize("family,flags", [
+    ("A", ["--t", "1"]),
+    ("B", ["--p", "1", "--q", "1"]),
+    ("C", ["--p", "1", "--q", "1"]),
+    ("D", ["--t", "1"]),
+])
+def test_gamma_without_rank_exit_2(family, flags, capsys):
+    code, out, err = run(capsys, "gamma", "--family", family, *flags)
+    assert code == 2 and out == ""
+    assert err == "error: family %s needs a positive rank\n" % family
+
+
+@pytest.mark.parametrize("span", ["99", "-1", "0,12"])
+@pytest.mark.parametrize("command,flag", [("restrict", "--kernel-of"), ("subsystem", "--span")])
+def test_span_index_out_of_range_exit_2(command, flag, span, tmp_path, capsys):
+    path = tmp_path / "bc3.json"
+    run(capsys, "gen", "--family", "BC", "--rank", "3",
+        "--param", "r=1", "--param", "s=1", "--param", "q=1", "-o", str(path))
+    code, out, err = run(capsys, command, str(path), flag, span)
+    assert code == 2 and out == ""
+    assert err == "error: span_indices must lie in [0, 12), got [%s]\n" % span.replace(",", ", ")
+
+
 def test_catalog_command(tmp_path, capsys):
     out_path = tmp_path / "cat.json"
     code, out, err = run(

@@ -1,16 +1,16 @@
 """Exact reflection orbits of flats: the generators and the orbit counts.
 
-The orbit counts are checked against the orbit types of flats of the
-exceptional Weyl arrangements tabulated by Orlik and Terao (Arrangements of
-Hyperplanes, 1992), an independent source.
+The orbit counts up to corank 3 are checked against the orbit types of
+flats of the exceptional Weyl arrangements tabulated by Orlik and Terao
+(Arrangements of Hyperplanes, 1992), an independent source.  The E6 and E7
+counts at coranks 4 and 5 pin what the walk finds.
 """
 
 from collections import Counter
 
 import pytest
 
-from trigvee import catalog
-from trigvee.catalog import CatalogError, enumerate_flat_classes, simple_reflections
+from trigvee.catalog import enumerate_flat_classes, simple_reflections
 from trigvee.configuration import configuration, lattice, pairings
 from trigvee.families import family_spec, generate
 
@@ -62,12 +62,18 @@ def test_simple_reflections_are_signed_symmetries(name, make, rank):
 
 # (corank, n_members, class_size) of every orbit up to the given corank
 _ORBITS = [
-    ("E6", family_spec("E6", t=1), 3, [
+    ("E6", family_spec("E6", t=1), 5, [
         (1, 1, 36), (2, 2, 270), (2, 3, 120), (3, 6, 270), (3, 3, 540), (3, 4, 720),
+        (4, 5, 1080), (4, 6, 120), (4, 7, 540), (4, 10, 216), (4, 12, 45),
+        (5, 7, 360), (5, 11, 216), (5, 15, 36), (5, 20, 27),
     ]),
-    ("E7", family_spec("E7", t=1), 3, [
+    ("E7", family_spec("E7", t=1), 5, [
         (1, 1, 63), (2, 2, 945), (2, 3, 336),
         (3, 6, 1260), (3, 3, 3780), (3, 3, 315), (3, 4, 5040),
+        (4, 4, 3780), (4, 5, 15120), (4, 6, 3360), (4, 7, 1260), (4, 7, 7560),
+        (4, 10, 2016), (4, 12, 315),
+        (5, 6, 5040), (5, 7, 10080), (5, 8, 7560), (5, 9, 5040), (5, 11, 6048),
+        (5, 13, 945), (5, 15, 336), (5, 15, 1008), (5, 20, 378),
     ]),
     ("E8", family_spec("E8", t=1), 3, [
         (1, 1, 120), (2, 2, 3780), (2, 3, 1120), (3, 6, 7560), (3, 3, 37800), (3, 4, 40320),
@@ -87,12 +93,3 @@ def test_orbit_counts(name, spec, corank, orbits):
     classes = enumerate_flat_classes(generate(spec), corank)
     assert Counter((c.corank, c.n_members, c.class_size) for c in classes) == Counter(orbits)
 
-
-def test_flat_missing_from_the_walk_is_an_error(monkeypatch):
-    # drop the last flat of every level the walk extends to
-    real = catalog._next_level
-    monkeypatch.setattr(
-        catalog, "_next_level", lambda *args: tuple(x[:-1] for x in real(*args))
-    )
-    with pytest.raises(CatalogError, match="walk did not find"):
-        enumerate_flat_classes(generate(family_spec("F4", r=1, s=1)), 2)

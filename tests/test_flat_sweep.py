@@ -1,13 +1,16 @@
-"""Differential tests of the batched flat sweep against two oracles.
+"""Differential tests of the orbit-wise flat walk against three oracles.
 
 The exact oracle is ``subsystem``'s span closure of each flat's spanning
-anchors.  The float oracle is the original walk (one QR and parallel test
-per span) with the original float fingerprint per flat.  The sweep's
-classes are exact reflection orbits, which refine the fingerprint classes:
-D4's triality, for one, is not a reflection, so its orbits are finer than
-the fingerprint classes.  The tests therefore check that each orbit lies
-inside one fingerprint class, that the orbits partition each level, and
-that the catalog built on either grouping is the same.
+anchors.  The all-flats oracle extends every flat of a level with
+``catalog._next_level``, then labels each flat by the first flat of its
+reflection orbit, as the catalog did before it extended one flat per orbit.
+The float oracle is the original walk (one QR and parallel test per span)
+with the original float fingerprint per flat.  The walk's classes are exact
+reflection orbits, which refine the fingerprint classes: D4's triality, for
+one, is not a reflection, so its orbits are finer than the fingerprint
+classes.  The tests therefore check that each orbit lies inside one
+fingerprint class, that the orbits partition each level, and that the
+catalog built on either grouping is the same.
 """
 
 import random
@@ -20,6 +23,7 @@ from trigvee import catalog
 from trigvee.catalog import (
     CatalogError,
     FlatClass,
+    _row_keys,
     build_catalog,
     enumerate_flat_classes,
     simple_reflections,
@@ -147,6 +151,63 @@ def _flat_key(av, vf, absvf, rvec, mults, span, mask, rnd):
     )
 
 
+def oracle_levels(cfg, max_corank, chunk):
+    """The exact walk over every flat, as (spans, packed) per level: spans[f]
+    are the anchors spanning flat f, packed[f] its member set as packbits."""
+    lat = np.array(lattice(cfg).covectors, dtype=np.int64)
+    anchors = np.array([cls.anchor for cls in collinear_classes(cfg)])
+    spans, kern = np.empty((1, 0), dtype=np.intp), np.eye(cfg.dim, dtype=np.int64)[None]
+    for _ in range(max_corank):
+        f, a, packed = catalog._next_level(lat, anchors, kern, chunk)
+        spans, kern = np.column_stack([spans[f], a]), catalog._extend_kernels(lat[a], kern[f])
+        yield spans, packed
+
+
+def oracle_orbit_labels(packed, gens, n, chunk):
+    """label[f]: the first flat, in walk order, of flat f's orbit under gens.
+
+    Each generator maps a chunk of member sets at a time; every image must be
+    among the level's flats, found by its packed bits.  The labels are merged
+    by min-propagation with pointer jumping (the generators are involutions,
+    so each image edge runs both ways)."""
+    m = len(packed)
+    order = _row_keys(packed).argsort()
+    keys = _row_keys(packed)[order]
+    images = np.empty((len(gens), m), dtype=np.intp)
+    for lo in range(0, m, chunk):
+        mask = np.unpackbits(packed[lo:lo + chunk], axis=1, count=n).astype(bool)
+        for g, perm in enumerate(gens):
+            img = _row_keys(np.packbits(mask[:, perm], axis=1))
+            pos = np.minimum(keys.searchsorted(img), m - 1)
+            assert (keys[pos] == img).all(), "a reflection image is not a flat of the walk"
+            images[g, lo:lo + chunk] = order[pos]
+    label = np.arange(m)
+    while True:
+        new = np.minimum(label, label[images].min(axis=0, initial=m))
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
+
+
+def oracle_flat_classes(cfg, max_corank):
+    """The orbits of every flat the all-flats walk finds, each represented by
+    its first flat, level by level in walk order."""
+    n = len(cfg)
+    gens = [np.array(perm) for perm, _ in simple_reflections(cfg)]
+    levels = oracle_levels(cfg, max_corank, max(1, catalog._CHUNK_CELLS // (n * n)))
+    out = []
+    for corank, (spans, packed) in enumerate(levels, 1):
+        label = oracle_orbit_labels(packed, gens, n, max(1, catalog._CHUNK_CELLS // n))
+        reps, sizes = np.unique(label, return_counts=True)
+        counts = np.bitwise_count(packed[reps]).sum(axis=1)
+        out.extend(
+            FlatClass(tuple(spans[f].tolist()), int(m), corank, int(size))
+            for f, m, size in zip(reps, counts, sizes)
+        )
+    return out
+
+
 def _indefinite():
     """Gram form [[2,-1,2],[-1,0,0],[2,0,3]], indefinite: e1 is isotropic, so
     flats such as span(e1, e3) have a singular m0, and it is the root of no
@@ -249,10 +310,9 @@ def test_batched_walk_matches_oracle_on_random_deformations(cfg, chunk):
     # oracle can fall exactly on a rounding boundary, where float noise
     # splits an orbit.
     corank = cfg.dim - 1
-    covs = lattice(cfg).covectors
     got = [
         (tuple(s.tolist()), m)
-        for spans, packed in catalog._levels(covs, collinear_classes(cfg), corank, chunk)
+        for spans, packed in oracle_levels(cfg, corank, chunk)
         for s, m in zip(spans, np.unpackbits(packed, axis=1, count=len(cfg)).astype(bool))
     ]
     want = reference_flats(cfg, corank)
@@ -271,11 +331,20 @@ def test_walk_members_equal_exact_span_closure(name, make, corank, default_chunk
     cfg = make()
     n = len(cfg)
     chunk = max(1, catalog._CHUNK_CELLS // (n * n)) if default_chunk else 1
-    levels = catalog._levels(lattice(cfg).covectors, collinear_classes(cfg), corank, chunk)
-    for spans, packed in levels:
+    for spans, packed in oracle_levels(cfg, corank, chunk):
         for span, mask in zip(spans, np.unpackbits(packed, axis=1, count=n)):
             members = subsystem(cfg, span.tolist()).member_indices
             assert np.flatnonzero(mask).tolist() == list(members), span.tolist()
+
+
+@pytest.mark.parametrize("cells", [catalog._CHUNK_CELLS, 1, 40])
+@pytest.mark.parametrize("name,make,corank", _EXACT_CASES, ids=[c[0] for c in _EXACT_CASES])
+def test_orbit_walk_matches_all_flats_oracle(monkeypatch, name, make, corank, cells):
+    # class by class: representative span, member count and orbit size
+    cfg = make()
+    want = oracle_flat_classes(cfg, corank)
+    monkeypatch.setattr(catalog, "_CHUNK_CELLS", cells)
+    assert enumerate_flat_classes(cfg, corank) == want
 
 
 def test_walk_refuses_entries_that_could_overflow():
