@@ -18,6 +18,7 @@ from .gamma import gamma_sq_direct, gamma_tilde_sq, gamma_tilde_sq_dual, root_da
 from .catalog import CatalogError, build_catalog
 from .restriction import CDeltaZeroError, restrict
 from .veesystem import (
+    NotEigenError,
     NotProportionalError,
     ZeroG2Error,
     lambda_sq,
@@ -149,7 +150,7 @@ def _cmd_subsystem(args) -> int:
         try:
             eig = m_operator(cfg, handle)
             payload["eigenvalues"] = [str(v) for v in eig.eigenvalues]
-        except Exception as e:  # noqa: BLE001 - reported, not fatal
+        except NotEigenError as e:  # certifies that the parent is no vee-system
             payload["eigenvalues_error"] = str(e)
     _emit(payload, None) if args.json else print(json.dumps(payload))
     return 0
@@ -175,6 +176,11 @@ def _cmd_gamma(args) -> int:
         mult = {"all": rat(args.t)}
         spec = family_spec(fam, rank, t=rat(args.t) / 2)
     else:
+        if fam not in _GAMMA_DUAL_SPEC:
+            raise InputError(
+                "family %s has no gamma route; gamma supports A, D, E6, E7, E8 (--t) and %s"
+                " (--p, --q)" % (fam, ", ".join(_GAMMA_DUAL_SPEC))
+            )
         if args.p is None or args.q is None:
             raise InputError("family %s takes --p (short) and --q (long)" % fam)
         mult = {"short": rat(args.p), "long": rat(args.q)}

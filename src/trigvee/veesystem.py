@@ -309,7 +309,6 @@ class SubsystemHandle:
     parent: Configuration
     member_indices: tuple[int, ...]
     span_indices: tuple[int, ...]  # independent covectors chosen as a basis of W
-    span_basis: tuple[Vec, ...]
     wdual_basis: tuple[Vec, ...]  # basis of the dual image of W inside V
     is_isotropic: bool
 
@@ -340,8 +339,8 @@ def subsystem(cfg: Configuration, span_indices) -> SubsystemHandle:
         for u in basis_idx
     ]
     return SubsystemHandle(
-        cfg, members, tuple(basis_idx), tuple(cfg.covectors[i] for i in basis_idx),
-        tuple(dv[i] for i in basis_idx), rank(gb) < len(basis_idx),
+        cfg, members, tuple(basis_idx), tuple(dv[i] for i in basis_idx),
+        rank(gb) < len(basis_idx),
     )
 
 

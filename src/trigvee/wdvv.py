@@ -5,6 +5,10 @@ the auxiliary cubic variable, evaluates the commutator conditions and the
 tangent-space product at seeded random sample points, and reports scaled
 residuals.  Only the cotangent is ever evaluated; the prepotential itself is
 never needed.  All of it runs on float64 copies of the exact data (``float_view``).
+
+Each float quantity is computed once, on whole arrays: candidate points in
+blocks, the third derivatives at a point as one stack, the commutators of all
+pairs and the products of all triples at a point together.
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ class AssociativityReport:
     agrees_with_wdvv: bool
 
 
-def _lambda_from_sq(lambda_sq) -> complex:
-    # principal square root; the verdict depends on lambda^2 only
-    return complex(np.sqrt(complex(float(lambda_sq))))
+def _lambda_from_sq(lambda_sq):
+    # principal square root, real for lambda^2 >= 0; the verdict depends on lambda^2 only
+    return np.emath.sqrt(float(lambda_sq))
 
 
 # Smallest |sin a(x)| over the covectors that a sample point may have.
@@ -88,22 +92,24 @@ def float_duals(cfg: Configuration) -> np.ndarray:
 
 
 def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoint]:
-    """Seeded points with min over covectors of |sin a(x)| above the pole guard."""
+    """Seeded points with min over covectors of |sin a(x)| above the pole guard.
+
+    Tests candidates in blocks of ``points``, at most 1000 blocks; the points
+    accepted are the ones one draw at a time would accept.
+    """
     if points < 1:
         raise ValueError("the number of sample points must be positive, got %d" % points)
     rng = np.random.default_rng(seed)
     av = float_view(cfg).covectors
     out: list[SamplePoint] = []
-    tries = 0
-    while len(out) < points:
-        tries += 1
-        if tries > 1000 * points:
-            raise PoleTooCloseError("could not find enough pole-free sample points")
-        x = rng.uniform(-2.0, 2.0, cfg.dim)
-        ms = float(np.min(np.abs(np.sin(av @ x)))) if len(cfg) else 1.0
-        if ms >= POLE_GUARD:
-            out.append(SamplePoint(tuple(x), ms))
-    return out
+    for _ in range(1000):
+        xs = rng.uniform(-2.0, 2.0, (points, cfg.dim))
+        ms = np.abs(np.sin(xs @ av.T)).min(axis=1, initial=1.0)
+        for i in np.flatnonzero(ms >= POLE_GUARD)[: points - len(out)]:
+            out.append(SamplePoint(tuple(xs[i]), float(ms[i])))
+        if len(out) == points:
+            return out
+    raise PoleTooCloseError("could not find enough pole-free sample points")
 
 
 def base_form(cfg: Configuration) -> np.ndarray:
@@ -124,49 +130,40 @@ def _cot(cfg: Configuration, pt: SamplePoint) -> np.ndarray:
     return np.cos(vals) / s
 
 
-def third_derivs(cfg: Configuration, lam: complex, pt: SamplePoint):
-    """All N+1 third-derivative matrices at a sample point.
+def third_derivs(cfg: Configuration, lam, pt: SamplePoint) -> np.ndarray:
+    """The N+1 third-derivative matrices at a sample point, stacked as F[i].
 
     The trig part contributes lam * c_a a_i a_p a_q cot a(x) to the top-left
     blocks of F_1..F_N; the cubic part contributes the constant borders and
-    the base form F_{N+1}.
+    the base form F_{N+1}.  The stack is complex only when lam is.
     """
     n = cfg.dim
     av, c, _ = float_view(cfg)
-    cot = _cot(cfg, pt)
-    gm = (av.T * c) @ av
-    dtype = complex if isinstance(lam, complex) and lam.imag != 0 else float
-    lam_ = lam if dtype is complex else lam.real
-    trig = np.einsum("a,a,ai,ap,aq->ipq", c, cot, av, av, av)
-    mats = []
-    for i in range(n):
-        f = np.zeros((n + 1, n + 1), dtype=dtype)
-        f[:n, :n] = lam_ * trig[i]
-        f[:n, n] = 2.0 * gm[i]
-        f[n, :n] = 2.0 * gm[i]
-        mats.append(f)
-    mats.append(base_form(cfg).astype(dtype))
-    return mats
+    trig = lam * np.einsum("a,ai,ap,aq->ipq", c * _cot(cfg, pt), av, av, av)
+    base = base_form(cfg)
+    f = np.zeros((n + 1, n + 1, n + 1), dtype=trig.dtype)
+    f[:n, :n, :n] = trig
+    f[:n, :n, n] = f[:n, n, :n] = base[:n, :n]
+    f[n] = base
+    return f
 
 
-def _commutator_residual(cfg: Configuration, lam: complex, pts: list[SamplePoint]) -> float:
+def _commutator_residual(cfg: Configuration, lam, pts: list[SamplePoint]) -> float:
     """Max scaled commutator residual of F_i F_{N+1}^{-1} F_j over the points."""
     base = base_form(cfg)
     if np.linalg.cond(base) > 1e12:
         raise SingularBaseFormError("base form is numerically singular")
     binv = np.linalg.inv(base)
     binv_norm = np.linalg.norm(binv)
-    worst = 0.0
     n = cfg.dim
+    worst = 0.0
     for pt in pts:
-        mats = third_derivs(cfg, lam, pt)
-        prods = [m @ binv for m in mats[:n]]
-        norms = [np.linalg.norm(m) for m in mats[:n]]
-        for i in range(n):
-            for j in range(i + 1, n):
-                comm = prods[i] @ mats[j] - prods[j] @ mats[i]
-                scale = 1.0 + norms[i] * binv_norm * norms[j]
-                worst = max(worst, float(np.linalg.norm(comm)) / scale)
+        f = third_derivs(cfg, lam, pt)[:n]
+        pf = (f @ binv)[:, None] @ f[None]  # pf[i, j] = F_i F_{N+1}^{-1} F_j
+        comm = np.linalg.norm(pf - pf.transpose(1, 0, 2, 3), axis=(2, 3))
+        norms = np.linalg.norm(f, axis=(1, 2))
+        scale = 1.0 + np.outer(norms, norms) * binv_norm
+        worst = max(worst, float(np.max(comm / scale)))
     return worst
 
 
@@ -183,25 +180,28 @@ def wdvv_residual(
     return ResidualReport(worst, tol, bool(worst < tol), seed, points)
 
 
-def product(cfg: Configuration, lam: complex, pt: SamplePoint, a, b):
+def product(cfg: Configuration, lam, pt: SamplePoint, a, b) -> np.ndarray:
     """The tangent-space product of two vectors of V + U at a sample point.
 
     On V it is sum over covectors of c w(a) w(b) ((lam/2) cot w(x) w-vee + E),
     extended by linearity with E acting as the identity.
     """
+    return _product(cfg, lam, _cot(cfg, pt), a, b)
+
+
+def _product(cfg: Configuration, lam, cot: np.ndarray, a, b) -> np.ndarray:
+    """``product`` at the point with cotangents ``cot``, on stacks of vectors
+    (last axis N+1)."""
     n = cfg.dim
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     av, c, _ = float_view(cfg)
-    cot = _cot(cfg, pt)
-    coef = c * (av @ a[:n]) * (av @ b[:n])
-    out = np.zeros(n + 1, dtype=complex)
+    coef = c * (a[..., :n] @ av.T) * (b[..., :n] @ av.T)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     if np.any(coef):  # with every coefficient zero the duals are not needed
-        out[:n] = (lam / 2.0) * (coef * cot) @ float_duals(cfg)
-    out[n] = coef.sum()
-    out += b[n] * np.concatenate([a[:n], [0.0]])
-    out += a[n] * np.concatenate([b[:n], [0.0]])
-    out[n] += a[n] * b[n]
+        out[..., :n] = (lam / 2.0) * (coef * cot) @ float_duals(cfg)
+    out[..., :n] += b[..., n:] * a[..., :n] + a[..., n:] * b[..., :n]
+    out[..., n] = coef.sum(axis=-1) + a[..., n] * b[..., n]
     return out
 
 
@@ -221,20 +221,17 @@ def associativity_residual(
     lam = _lambda_from_sq(lambda_sq)
     pts = sample_points(cfg, points, seed)
     rng = np.random.default_rng(seed + 1)
-    n = cfg.dim
     worst = 0.0
     for pt in pts:
-        for _ in range(triples):
-            a, b, cc = (rng.uniform(-1.0, 1.0, n + 1) for _ in range(3))
-            ab = product(cfg, lam, pt, a, b)
-            bc = product(cfg, lam, pt, b, cc)
-            lhs = product(cfg, lam, pt, ab, cc)
-            rhs = product(cfg, lam, pt, a, bc)
-            scale = 1.0 + np.linalg.norm(ab) * np.linalg.norm(cc) + np.linalg.norm(bc) * np.linalg.norm(a)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
+        cot = _cot(cfg, pt)
+        a, b, cc = rng.uniform(-1.0, 1.0, (triples, 3, cfg.dim + 1)).transpose(1, 0, 2)
+        ab, bc = _product(cfg, lam, cot, np.stack([a, b]), np.stack([b, cc]))
+        lhs, rhs = _product(cfg, lam, cot, np.stack([ab, a]), np.stack([cc, bc]))
+        n_ab, n_cc, n_bc, n_a = np.linalg.norm(np.stack([ab, cc, bc, a]), axis=-1)
+        scale = 1.0 + n_ab * n_cc + n_bc * n_a
+        worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=-1) / scale, initial=0.0)))
     wd_worst = _commutator_residual(cfg, lam, pts)
     passed = bool(worst < tol)
     return AssociativityReport(
         worst, tol, passed, seed, points, wd_worst, passed == bool(wd_worst < tol)
     )
-

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -6,6 +7,9 @@ from trigvee.cli import main
 from trigvee.configuration import from_json_dict, to_json_dict
 from trigvee.families import PARAM_NAMES, family_spec, generate
 from trigvee.veesystem import lambda_sq
+
+
+_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
 
 
 def run(capsys, *argv):
@@ -101,13 +105,32 @@ def test_subsystem_command(tmp_path, capsys):
     assert payload["eigenvalues"] == ["5/9"]
 
 
+def test_subsystem_of_non_vee_parent_reports_eigenvalues_error(capsys):
+    # D8 with covector 0 at multiplicity 2; covectors 1, 2 and 14 span a
+    # non-isotropic subsystem whose duals are not eigenvectors
+    broken = os.path.join(_INPUTS, "D8_broken.json")
+    code, out, err = run(capsys, "subsystem", broken, "--span", "1,2", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["is_isotropic"] is False and payload["members"] == [1, 2, 14]
+    assert payload["eigenvalues_error"] == "dual of member 2 is not an eigenvector"
+    assert "eigenvalues" not in payload
+    code, out, _ = run(capsys, "subsystem", os.path.join(_INPUTS, "D8.json"), "--span", "1,2", "--json")
+    assert code == 0 and json.loads(out)["eigenvalues"] == ["3/14"]
+
+
 def test_gamma_command(capsys):
     code, out, err = run(capsys, "gamma", "--family", "F4", "--p", "1", "--q", "2", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["gamma_tilde_sq_highest_root"] == payload["gamma_tilde_sq_dual_root"]
     assert payload["gamma_tilde_sq_highest_root"] == payload["gamma_sq_direct"] == "-15"
-    assert run(capsys, "gamma", "--family", "BC", "--rank", "3", "--p", "1", "--q", "1")[0] == 2
+    code, out, err = run(capsys, "gamma", "--family", "BC", "--rank", "3", "--p", "1", "--q", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: family BC has no gamma route; gamma supports A, D, E6, E7, E8 (--t)"
+        " and B, C, F4, G2 (--p, --q)\n"
+    )
 
 
 @pytest.mark.parametrize("family,flags", [

@@ -1,24 +1,209 @@
+import glob
+import importlib.util
+import json
 import math
+import os
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from trigvee.configuration import configuration
+from trigvee.configuration import configuration, from_json_dict
 from trigvee.families import family_spec, generate
 from trigvee.veesystem import lambda_sq
 from trigvee.wdvv import (
+    POLE_GUARD,
     PoleTooCloseError,
     SamplePoint,
+    _commutator_residual,
+    _cot,
     _lambda_from_sq,
     associativity_residual,
     base_form,
+    float_duals,
     float_view,
     product,
     sample_points,
     third_derivs,
     wdvv_residual,
 )
+
+_PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+# --- per-draw, per-matrix and per-call oracles for the whole-array verifier ---
+
+
+def oracle_sample_points(cfg, points, seed):
+    """One candidate per draw, tested on its own."""
+    rng = np.random.default_rng(seed)
+    av = float_view(cfg).covectors
+    out = []
+    tries = 0
+    while len(out) < points:
+        tries += 1
+        if tries > 1000 * points:
+            raise PoleTooCloseError("could not find enough pole-free sample points")
+        x = rng.uniform(-2.0, 2.0, cfg.dim)
+        ms = float(np.min(np.abs(np.sin(av @ x)))) if len(cfg) else 1.0
+        if ms >= POLE_GUARD:
+            out.append(SamplePoint(tuple(x), ms))
+    return out
+
+
+def oracle_third_derivs(cfg, lam, pt):
+    """The N+1 matrices one by one, with their own float Gram form."""
+    n = cfg.dim
+    av, c, _ = float_view(cfg)
+    cot = _cot(cfg, pt)
+    gm = (av.T * c) @ av
+    dtype = complex if isinstance(lam, complex) and lam.imag != 0 else float
+    lam_ = lam if dtype is complex else lam.real
+    trig = np.einsum("a,a,ai,ap,aq->ipq", c, cot, av, av, av)
+    mats = []
+    for i in range(n):
+        f = np.zeros((n + 1, n + 1), dtype=dtype)
+        f[:n, :n] = lam_ * trig[i]
+        f[:n, n] = 2.0 * gm[i]
+        f[n, :n] = 2.0 * gm[i]
+        mats.append(f)
+    mats.append(base_form(cfg).astype(dtype))
+    return mats
+
+
+def oracle_commutator_residual(cfg, lam, pts):
+    """One commutator F_i B^-1 F_j - F_j B^-1 F_i per pair and point."""
+    binv = np.linalg.inv(base_form(cfg))
+    binv_norm = np.linalg.norm(binv)
+    worst = 0.0
+    n = cfg.dim
+    for pt in pts:
+        mats = oracle_third_derivs(cfg, lam, pt)
+        prods = [m @ binv for m in mats[:n]]
+        norms = [np.linalg.norm(m) for m in mats[:n]]
+        for i in range(n):
+            for j in range(i + 1, n):
+                comm = prods[i] @ mats[j] - prods[j] @ mats[i]
+                scale = 1.0 + norms[i] * binv_norm * norms[j]
+                worst = max(worst, float(np.linalg.norm(comm)) / scale)
+    return worst
+
+
+def oracle_product(cfg, lam, pt, a, b):
+    """The product of two single vectors, its cotangents computed per call."""
+    n = cfg.dim
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    av, c, _ = float_view(cfg)
+    cot = _cot(cfg, pt)
+    coef = c * (av @ a[:n]) * (av @ b[:n])
+    out = np.zeros(n + 1, dtype=complex)
+    if np.any(coef):
+        out[:n] = (lam / 2.0) * (coef * cot) @ float_duals(cfg)
+    out[n] = coef.sum()
+    out += b[n] * np.concatenate([a[:n], [0.0]])
+    out += a[n] * np.concatenate([b[:n], [0.0]])
+    out[n] += a[n] * b[n]
+    return out
+
+
+def oracle_associativity(cfg, lam, pts, seed, triples):
+    """Four ``oracle_product`` calls per triple, three draws per triple."""
+    rng = np.random.default_rng(seed + 1)
+    n = cfg.dim
+    worst = 0.0
+    for pt in pts:
+        for _ in range(triples):
+            a, b, cc = (rng.uniform(-1.0, 1.0, n + 1) for _ in range(3))
+            ab = oracle_product(cfg, lam, pt, a, b)
+            bc = oracle_product(cfg, lam, pt, b, cc)
+            lhs = oracle_product(cfg, lam, pt, ab, cc)
+            rhs = oracle_product(cfg, lam, pt, a, bc)
+            scale = 1.0 + np.linalg.norm(ab) * np.linalg.norm(cc) + np.linalg.norm(bc) * np.linalg.norm(a)
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
+    return worst
+
+
+def _benchmark_inputs():
+    """(stem, configuration, sample count) of every benchmark input; the broken
+    D8 uses the count of D8."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(_PERFBENCH, "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    out = []
+    for path in sorted(glob.glob(os.path.join(_PERFBENCH, "inputs", "*.json"))):
+        stem = os.path.splitext(os.path.basename(path))[0]
+        with open(path) as fh:
+            cfg = from_json_dict(json.load(fh))
+        out.append((stem, cfg, workloads.WDVV_SAMPLES[stem.split("_")[0]]))
+    return out
+
+
+_INPUTS = _benchmark_inputs()
+_CONFIGS = {stem: cfg for stem, cfg, _ in _INPUTS}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 42])
+@pytest.mark.parametrize("stem,cfg,points", _INPUTS, ids=[i[0] for i in _INPUTS])
+def test_sample_points_match_per_draw_oracle(stem, cfg, points, seed):
+    got = sample_points(cfg, points, seed)
+    want = oracle_sample_points(cfg, points, seed)
+    assert [p.x for p in got] == [p.x for p in want]
+    assert max(abs(p.min_sine - q.min_sine) for p, q in zip(got, want)) < 1e-12
+
+
+@pytest.mark.parametrize("stem,cfg,points", _INPUTS, ids=[i[0] for i in _INPUTS])
+def test_residuals_match_per_pair_and_per_call_oracles(stem, cfg, points):
+    # D8_broken is no vee-system; it is checked at the lambda^2 of D8
+    lam_sq = lambda_sq(_CONFIGS[stem.split("_")[0]])
+    lam = _lambda_from_sq(lam_sq)
+    pts = sample_points(cfg, 12, 5)
+    got = associativity_residual(cfg, lam_sq, points=12, seed=5, triples=3)
+    assert abs(got.wdvv_max_residual - oracle_commutator_residual(cfg, lam, pts)) < 1e-10
+    assert abs(got.max_residual - oracle_associativity(cfg, lam, pts, 5, 3)) < 1e-10
+    assert got.wdvv_max_residual == wdvv_residual(cfg, lam_sq, points=12, seed=5).max_residual
+
+
+def test_residuals_match_oracles_for_negative_lambda_sq():
+    cfg = generate(family_spec("Planar9", a=1, b=-1))
+    lam_sq = lambda_sq(cfg)
+    lam = _lambda_from_sq(lam_sq)
+    assert lam_sq < 0 and lam.imag != 0
+    pts = sample_points(cfg, 8, 7)
+    got = associativity_residual(cfg, lam_sq, points=8, seed=7)
+    assert abs(got.wdvv_max_residual - oracle_commutator_residual(cfg, complex(lam), pts)) < 1e-10
+    assert abs(got.max_residual - oracle_associativity(cfg, complex(lam), pts, 7, 4)) < 1e-10
+    # a perturbed lambda gives residuals far from zero, and they still agree
+    off = _lambda_from_sq(lam_sq - 1)
+    assert abs(_commutator_residual(cfg, off, pts) - oracle_commutator_residual(cfg, complex(off), pts)) < 1e-10
+
+
+@pytest.mark.parametrize("lam_sq", [Q(3, 2), Q(-5, 4)])
+def test_product_of_single_vectors_matches_per_call_oracle(lam_sq):
+    cfg = generate(family_spec("BC", 3, r=1, s=Q(1, 2), q=2))
+    lam = _lambda_from_sq(lam_sq)
+    rng = np.random.default_rng(8)
+    for pt in sample_points(cfg, 4, 9):
+        a, b = rng.uniform(-1, 1, (2, cfg.dim + 1))
+        b = b + 0.5j * rng.uniform(-1, 1, cfg.dim + 1)
+        got = product(cfg, lam, pt, a, b)
+        want = oracle_product(cfg, complex(lam), pt, a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * (1 + np.max(np.abs(want)))
+
+
+def test_third_derivs_match_per_matrix_oracle():
+    cfg = generate(family_spec("BC", 3, r=1, s=Q(1, 2), q=2))
+    for lam in (_lambda_from_sq(lambda_sq(cfg)), _lambda_from_sq(-2)):
+        for pt in sample_points(cfg, 3, 4):
+            got = third_derivs(cfg, lam, pt)
+            want = np.stack(oracle_third_derivs(cfg, complex(lam), pt))
+            assert got.shape == (cfg.dim + 1,) * 3 and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) < 1e-12 * (1 + np.max(np.abs(want)))
 
 
 def trig_second_derivs(cfg, lam, x):
