@@ -3,11 +3,11 @@ restrict, dedup.
 
 Flats (subsets of the form configuration-intersect-span) are enumerated
 exactly on the integer view, level by level, by extending one representative
-flat per orbit of the configuration's simple reflections by one collinearity
-class at a time, on fixed-size chunks of int64 arrays checked against
-overflow.  Each new orbit is closed breadth-first on packed member bits; its
-size is the class size.  Each class representative is re-verified and
-restricted exactly.  Entries are merged by ``canonical_digest``, which
+flat per orbit of the configuration's simple reflections by one line of its
+quotient at a time, from one annihilator basis in Python integers per
+representative.  Each new orbit is closed breadth-first on packed member
+bits; its size is the class size.  Each class representative is re-verified
+and restricted exactly.  Entries are merged by ``canonical_digest``, which
 keys on intrinsic invariants of the restriction and is the one heuristic left:
 full linear-equivalence testing is out of scope.
 """
@@ -28,15 +28,17 @@ from .configuration import (
     collinear_classes,
     duals,  # unused here; perfbench/tracer.py wraps trigvee.catalog.duals
     lattice,
+    line_key,
     normalize_positive,
     pairings,
 )
+from .exactla import nullspace_cleared
 from .restriction import restrict
 from .veesystem import lambda_sq, subsystem, vee_residuals
 
 
 class CatalogError(RuntimeError):
-    """An entry or a flat failed its exact check, or the walk would overflow."""
+    """An entry or a flat failed its exact check."""
 
 
 def pairing_profile(cfg: Configuration) -> tuple:
@@ -80,11 +82,6 @@ class FlatClass:
     class_size: int
 
 
-# Cells in one stacked (chunk, n, n) temporary (1 MB of bools); a walk chunk holds
-# max(1, _CHUNK_CELLS // n**2) flats, which bounds the walk's large temporaries.
-_CHUNK_CELLS = 1 << 20
-
-
 def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClass]:
     """Classes of span-closed subsets of corank 1..max_corank: one per orbit,
     on the member sets, of the group the ``simple_reflections`` generate.
@@ -92,43 +89,56 @@ def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClas
     The walk starts from the empty flat and extends, level by level, only the
     previous level's representatives.  A symmetry maps the children of a flat
     onto the children of its image, so every orbit of a level holds a child
-    of a representative.  A child outside every orbit found so far opens a
+    of a representative.  The children of flat f are span(f, a) for each
+    anchor a outside f: f's members plus the covectors on a's line modulo f
+    (``_quotient_lines``).  A child outside every orbit found so far opens a
     class: its orbit is closed breadth-first on the member bits, and the
     orbit size is its ``class_size``.  A class's representative is thus the
     first child, in (representative, anchor) order, in its orbit, which is
     also the orbit's first flat in a walk that extends every flat.  Classes
     come out level by level, ordered by representative.  Without reflection
-    symmetries, every flat is a class of its own.  No entry of a level
-    exceeds 2 dim max|lat| max|kern|^2, which must stay below 2^62.
+    symmetries, every flat is a class of its own.
     """
     if not 0 <= max_corank < cfg.dim:
         raise ValueError("max_corank must lie in [0, dim)")
     n, covs = len(cfg), lattice(cfg).covectors
     gens = np.array([perm for perm, _ in simple_reflections(cfg)], dtype=np.intp).reshape(-1, n)
-    anchors = np.array([cls.anchor for cls in collinear_classes(cfg)])
-    bound = 2 * cfg.dim * max(abs(x) for a in covs for x in a)
-    spans, kern = np.empty((1, 0), dtype=np.intp), np.eye(cfg.dim, dtype=np.int64)[None]
+    anchors = [cls.anchor for cls in collinear_classes(cfg)]
+    level: list[tuple[int, ...]] = [()]
     out: list[FlatClass] = []
     for corank in range(1, max_corank + 1):
-        if bound * int(np.abs(kern).max()) ** 2 >= 1 << 62:
-            raise CatalogError("the flats of corank %d could overflow int64" % corank)
-        lat = np.array(covs, dtype=np.int64)  # within the bound just checked
-        f, a, packed = _next_level(lat, anchors, kern, max(1, _CHUNK_CELLS // (n * n)))
-        seen, reps, sizes = set(), [], []
-        for i, row in enumerate(packed):
-            if row.tobytes() not in seen:
-                orbit = _orbit(row, gens, n)
-                seen |= orbit
-                reps.append(i)
-                sizes.append(len(orbit))
-        f, a = f[reps], a[reps]
-        spans, kern = np.column_stack([spans[f], a]), _extend_kernels(lat[a], kern[f])
-        counts = np.bitwise_count(packed[reps]).sum(axis=1)
-        out.extend(
-            FlatClass(tuple(span), int(m), corank, size)
-            for span, m, size in zip(spans.tolist(), counts, sizes)
-        )
+        seen, reps = set(), []
+        for span in level:
+            lines = _quotient_lines(covs, span, cfg.dim)
+            inside = np.array([i not in lines for i in range(n)])
+            for a in anchors:
+                if a not in lines:
+                    continue
+                mask = inside.copy()
+                mask[lines[a]] = True
+                row = np.packbits(mask)
+                if row.tobytes() not in seen:
+                    orbit = _orbit(row, gens, n)
+                    seen |= orbit
+                    reps.append(span + (a,))
+                    out.append(FlatClass(span + (a,), int(mask.sum()), corank, len(orbit)))
+        level = reps
     return out
+
+
+def _quotient_lines(covs, span, dim) -> dict[int, list[int]]:
+    """For each covector outside the flat spanned by covs[span], the covectors
+    on its line modulo the flat: those whose images under an integer
+    annihilator basis of the flat have the same ``line_key``."""
+    kern, _ = nullspace_cleared([covs[i] for i in span], dim)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    lines = {}
+    for i, a in enumerate(covs):
+        img = [sum(map(mul, a, k)) for k in kern]
+        if any(img):
+            lines[i] = groups.setdefault(line_key(img), [])
+            lines[i].append(i)
+    return lines
 
 
 def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
@@ -177,53 +187,6 @@ def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
     ]
 
 
-def _next_level(lat, anchors, kern, chunk) -> tuple[np.ndarray, ...]:
-    """Extend every flat of one level by each anchor outside it, exactly.
-
-    kern[f] spans the annihilator of flat f, so lat @ kern[f].T is every
-    covector modulo f.  Divided by its gcd and signed by its first nonzero
-    entry, a covector's row is zero in f and equals anchor a's row in span(f, a).
-    New flats are kept in the order they are first reached (parent flat, then
-    anchor), each as its parent f, its anchor a and its member set as packbits."""
-    new_f, new_a, new_packed = [], [], []
-    for lo in range(0, len(kern), chunk):
-        img = lat @ kern[lo:lo + chunk].transpose(0, 2, 1)
-        img //= np.maximum(np.gcd.reduce(img, axis=2), 1)[..., None]
-        img *= np.sign(np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None], axis=2))
-        _, ids = np.unique(_row_keys(img.reshape(-1, img.shape[2])), return_inverse=True)
-        ids = ids.reshape(img.shape[:2])
-        inspan = ~img.any(axis=2)
-        par = ids[:, anchors, None] == ids[:, None, :]
-        grown = np.packbits(par | inspan[:, None, :], axis=2)
-        f, a = np.nonzero(~inspan[:, anchors])
-        rows = grown[f, a]
-        first = _first_rows(rows)
-        new_f.append(lo + f[first])
-        new_a.append(anchors[a[first]])
-        new_packed.append(rows[first])
-    packed = np.concatenate(new_packed)
-    first = _first_rows(packed)
-    return np.concatenate(new_f)[first], np.concatenate(new_a)[first], packed[first]
-
-
-def _first_rows(rows) -> np.ndarray:
-    """The index of each distinct row's first occurrence, in order."""
-    return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
-
-
-def _extend_kernels(a, kern) -> np.ndarray:
-    """Annihilator rows of span(f, a) from f's rows kern and a's image
-    r = kern @ a: r[p] * kern[j] - r[j] * kern[p] for j != p, p the first
-    nonzero of r, each divided by its gcd."""
-    m, k, dim = kern.shape
-    r = (kern @ a[:, :, None])[..., 0]
-    p = (r != 0).argmax(axis=1)
-    at = np.arange(m)
-    out = r[at, p, None, None] * kern - r[:, :, None] * kern[at, p][:, None, :]
-    out = out[np.arange(k) != p[:, None]].reshape(m, k - 1, dim)
-    return out // np.gcd.reduce(out, axis=2)[..., None]
-
-
 def _orbit(row, gens, n) -> set[bytes]:
     """The orbit of one packed member set under the index permutations gens,
     closed breadth-first, as the bytes of each packed member set."""
@@ -235,12 +198,6 @@ def _orbit(row, gens, n) -> set[bytes]:
         orbit |= new
         todo = np.frombuffer(b"".join(new), dtype=np.uint8).reshape(-1, size)
     return orbit
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque, orderable key per row of a 2-d array."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 @dataclass(frozen=True)

@@ -158,15 +158,21 @@ class CollinearClass:
         return tuple(i for i, _ in self.members)
 
 
+def line_key(row) -> tuple[int, ...]:
+    """The key of a nonzero integer row's line: the row divided by its gcd,
+    signed so that its first nonzero entry is positive."""
+    g = gcd(*row) if next(x for x in row if x) > 0 else -gcd(*row)
+    return tuple(x // g for x in row)
+
+
 @memo
 def collinear_classes(cfg: Configuration) -> tuple[CollinearClass, ...]:
     """Partition of the covector indices into proportionality classes, keyed
-    on the gcd-reduced integer covectors with positive leading entry."""
+    on ``line_key`` of the integer covectors."""
     covs = lattice(cfg).covectors
     buckets: dict[tuple[int, ...], list[int]] = {}
     for i, a in enumerate(covs):
-        g = gcd(*a) if next(x for x in a if x) > 0 else -gcd(*a)
-        buckets.setdefault(tuple(x // g for x in a), []).append(i)
+        buckets.setdefault(line_key(a), []).append(i)
     classes = []
     for idxs in buckets.values():  # in order of first member
         a0 = covs[idxs[0]]
@@ -292,6 +298,8 @@ def _json_list(x, what: str) -> list:
 
 
 def from_json_dict(d: Mapping) -> Configuration:
+    if not isinstance(d, Mapping):
+        raise ValueError("a configuration must be a JSON object, got %r" % (d,))
     if not isinstance(d.get("dim"), int) or isinstance(d["dim"], bool):
         raise ValueError("missing or non-integer 'dim'")
     covs = [

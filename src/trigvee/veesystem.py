@@ -267,6 +267,8 @@ def g2_positive_flip_invariant(cfg: Configuration, flips: int = 2, seed: int = 7
     renormalization is the positive view g2 uses with covector b turned to
     sgn(b(phi)) * b, so each probe is the view's sum with those signs.
     """
+    if flips < 0:
+        raise ValueError("the number of probe flips must not be negative, got %d" % flips)
     base = g2(cfg)
     pos = _positive_view(cfg)
     rng = random.Random(seed)

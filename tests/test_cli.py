@@ -235,6 +235,10 @@ def test_catalog_seed_flag_removed(capsys):
     {"dim": 2, "covectors": "1001", "multiplicities": ["1", "1"]},
     # a bool passes the int check and was read as dimension 1
     {"dim": True, "covectors": [["1"], ["2"]], "multiplicities": ["1", "1"]},
+    # valid JSON that is no object
+    [],
+    3,
+    "E8",
 ])
 def test_check_malformed_shapes_exit_2(blob, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -252,6 +256,15 @@ def test_wdvv_without_points_exit_2(samples, tmp_path, capsys):
     code, out, err = run(capsys, "wdvv", str(path), "--samples", samples, "--json")
     assert code == 2 and out == ""
     assert "sample points must be positive" in err
+
+
+def test_check_negative_probe_flips_exit_2(tmp_path, capsys):
+    path = tmp_path / "bc2.json"
+    run(capsys, "gen", "--family", "BC", "--rank", "2",
+        "--param", "r=1", "--param", "s=1", "--param", "q=1", "-o", str(path))
+    code, out, err = run(capsys, "check", str(path), "--probe-flips", "-3")
+    assert code == 2 and out == ""
+    assert "probe flips must not be negative" in err
 
 
 def test_catalog_negative_corank_exit_2(capsys):

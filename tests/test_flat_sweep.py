@@ -1,9 +1,10 @@
 """Differential tests of the orbit-wise flat walk against three oracles.
 
 The exact oracle is ``subsystem``'s span closure of each flat's spanning
-anchors.  The all-flats oracle extends every flat of a level with
-``catalog._next_level``, then labels each flat by the first flat of its
-reflection orbit, as the catalog did before it extended one flat per orbit.
+anchors.  The all-flats oracle extends every flat of a level at once, on
+chunks of int64 numpy arrays (``_next_level``), then labels each flat by the
+first flat of its reflection orbit, as the catalog did before it extended one
+flat per orbit in Python integers.
 The float oracle is the original walk (one QR and parallel test per span)
 with the original float fingerprint per flat.  The walk's classes are exact
 reflection orbits, which refine the fingerprint classes: D4's triality, for
@@ -21,9 +22,7 @@ import pytest
 
 from trigvee import catalog
 from trigvee.catalog import (
-    CatalogError,
     FlatClass,
-    _row_keys,
     build_catalog,
     enumerate_flat_classes,
     simple_reflections,
@@ -151,16 +150,84 @@ def _flat_key(av, vf, absvf, rvec, mults, span, mask, rnd):
     )
 
 
+# Cells in one stacked (chunk, n, n) temporary of the all-flats oracle (1 MB of
+# bools); a chunk holds max(1, _CHUNK_CELLS // n**2) flats.
+_CHUNK_CELLS = 1 << 20
+
+
+def _next_level(lat, anchors, kern, chunk) -> tuple[np.ndarray, ...]:
+    """Extend every flat of one level by each anchor outside it, exactly.
+
+    kern[f] spans the annihilator of flat f, so lat @ kern[f].T is every
+    covector modulo f.  Divided by its gcd and signed by its first nonzero
+    entry, a covector's row is zero in f and equals anchor a's row in span(f, a).
+    New flats are kept in the order they are first reached (parent flat, then
+    anchor), each as its parent f, its anchor a and its member set as packbits."""
+    new_f, new_a, new_packed = [], [], []
+    for lo in range(0, len(kern), chunk):
+        img = lat @ kern[lo:lo + chunk].transpose(0, 2, 1)
+        img //= np.maximum(np.gcd.reduce(img, axis=2), 1)[..., None]
+        img *= np.sign(np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None], axis=2))
+        _, ids = np.unique(_row_keys(img.reshape(-1, img.shape[2])), return_inverse=True)
+        ids = ids.reshape(img.shape[:2])
+        inspan = ~img.any(axis=2)
+        par = ids[:, anchors, None] == ids[:, None, :]
+        grown = np.packbits(par | inspan[:, None, :], axis=2)
+        f, a = np.nonzero(~inspan[:, anchors])
+        rows = grown[f, a]
+        first = _first_rows(rows)
+        new_f.append(lo + f[first])
+        new_a.append(anchors[a[first]])
+        new_packed.append(rows[first])
+    packed = np.concatenate(new_packed)
+    first = _first_rows(packed)
+    return np.concatenate(new_f)[first], np.concatenate(new_a)[first], packed[first]
+
+
+def _first_rows(rows) -> np.ndarray:
+    """The index of each distinct row's first occurrence, in order."""
+    return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
+
+
+def _extend_kernels(a, kern) -> np.ndarray:
+    """Annihilator rows of span(f, a) from f's rows kern and a's image
+    r = kern @ a: r[p] * kern[j] - r[j] * kern[p] for j != p, p the first
+    nonzero of r, each divided by its gcd."""
+    m, k, dim = kern.shape
+    r = (kern @ a[:, :, None])[..., 0]
+    p = (r != 0).argmax(axis=1)
+    at = np.arange(m)
+    out = r[at, p, None, None] * kern - r[:, :, None] * kern[at, p][:, None, :]
+    out = out[np.arange(k) != p[:, None]].reshape(m, k - 1, dim)
+    return out // np.gcd.reduce(out, axis=2)[..., None]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque, orderable key per row of a 2-d array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
 def oracle_levels(cfg, max_corank, chunk):
     """The exact walk over every flat, as (spans, packed) per level: spans[f]
-    are the anchors spanning flat f, packed[f] its member set as packbits."""
+    are the anchors spanning flat f, packed[f] its member set as packbits.
+    The int64 entries are trusted: the oracle runs on small inputs only."""
     lat = np.array(lattice(cfg).covectors, dtype=np.int64)
     anchors = np.array([cls.anchor for cls in collinear_classes(cfg)])
     spans, kern = np.empty((1, 0), dtype=np.intp), np.eye(cfg.dim, dtype=np.int64)[None]
     for _ in range(max_corank):
-        f, a, packed = catalog._next_level(lat, anchors, kern, chunk)
-        spans, kern = np.column_stack([spans[f], a]), catalog._extend_kernels(lat[a], kern[f])
+        f, a, packed = _next_level(lat, anchors, kern, chunk)
+        spans, kern = np.column_stack([spans[f], a]), _extend_kernels(lat[a], kern[f])
         yield spans, packed
+
+
+def oracle_flats(cfg, max_corank, chunk):
+    """Every flat of the all-flats walk as (span, member mask), in walk order."""
+    return [
+        (tuple(span.tolist()), mask.astype(bool))
+        for spans, packed in oracle_levels(cfg, max_corank, chunk)
+        for span, mask in zip(spans, np.unpackbits(packed, axis=1, count=len(cfg)))
+    ]
 
 
 def oracle_orbit_labels(packed, gens, n, chunk):
@@ -190,15 +257,16 @@ def oracle_orbit_labels(packed, gens, n, chunk):
         label = new
 
 
-def oracle_flat_classes(cfg, max_corank):
+def oracle_flat_classes(cfg, max_corank, cells=_CHUNK_CELLS):
     """The orbits of every flat the all-flats walk finds, each represented by
-    its first flat, level by level in walk order."""
+    its first flat, level by level in walk order; cells bounds the walk's and
+    the labelling's chunks."""
     n = len(cfg)
     gens = [np.array(perm) for perm, _ in simple_reflections(cfg)]
-    levels = oracle_levels(cfg, max_corank, max(1, catalog._CHUNK_CELLS // (n * n)))
+    levels = oracle_levels(cfg, max_corank, max(1, cells // (n * n)))
     out = []
     for corank, (spans, packed) in enumerate(levels, 1):
-        label = oracle_orbit_labels(packed, gens, n, max(1, catalog._CHUNK_CELLS // n))
+        label = oracle_orbit_labels(packed, gens, n, max(1, cells // n))
         reps, sizes = np.unique(label, return_counts=True)
         counts = np.bitwise_count(packed[reps]).sum(axis=1)
         out.extend(
@@ -243,15 +311,17 @@ def _orbit(members, gens, flats):
     return orbit
 
 
-@pytest.mark.parametrize("cells", [catalog._CHUNK_CELLS, 1, 40])
+@pytest.mark.parametrize("cells", [_CHUNK_CELLS, 1, 40])
 @pytest.mark.parametrize("name,make,corank", _CASES, ids=[c[0] for c in _CASES])
-def test_batched_sweep_matches_per_flat_oracle(monkeypatch, name, make, corank, cells):
-    # cells=1 puts each flat in a chunk of its own, for the walk and the
-    # labelling alike; cells=40 splits levels into chunks of a few flats
-    monkeypatch.setattr(catalog, "_CHUNK_CELLS", cells)
+def test_batched_sweep_matches_per_flat_oracle(name, make, corank, cells):
     cfg = make()
     classes = enumerate_flat_classes(cfg, corank)
     oracle = reference_flat_keys(cfg, corank)
+    # the all-flats oracle finds the float oracle's flats in the same order;
+    # cells=1 puts each of its flats in a chunk of its own, cells=40 a few
+    exact = oracle_flats(cfg, corank, max(1, cells // len(cfg) ** 2))
+    assert [s for s, _ in exact] == [s for s, _, _ in oracle]
+    assert all((m == w).all() for (_, m), (_, w, _) in zip(exact, oracle))
     walk = {
         frozenset(np.flatnonzero(mask).tolist()): (i, key)
         for i, (_, mask, key) in enumerate(oracle)
@@ -310,11 +380,7 @@ def test_batched_walk_matches_oracle_on_random_deformations(cfg, chunk):
     # oracle can fall exactly on a rounding boundary, where float noise
     # splits an orbit.
     corank = cfg.dim - 1
-    got = [
-        (tuple(s.tolist()), m)
-        for spans, packed in oracle_levels(cfg, corank, chunk)
-        for s, m in zip(spans, np.unpackbits(packed, axis=1, count=len(cfg)).astype(bool))
-    ]
+    got = oracle_flats(cfg, corank, chunk)
     want = reference_flats(cfg, corank)
     assert [s for s, _ in got] == [s for s, _ in want]
     assert all((m == w).all() for (_, m), (_, w) in zip(got, want))
@@ -330,32 +396,32 @@ _EXACT_CASES = _CASES + [
 def test_walk_members_equal_exact_span_closure(name, make, corank, default_chunk):
     cfg = make()
     n = len(cfg)
-    chunk = max(1, catalog._CHUNK_CELLS // (n * n)) if default_chunk else 1
+    chunk = max(1, _CHUNK_CELLS // (n * n)) if default_chunk else 1
     for spans, packed in oracle_levels(cfg, corank, chunk):
         for span, mask in zip(spans, np.unpackbits(packed, axis=1, count=n)):
             members = subsystem(cfg, span.tolist()).member_indices
             assert np.flatnonzero(mask).tolist() == list(members), span.tolist()
 
 
-@pytest.mark.parametrize("cells", [catalog._CHUNK_CELLS, 1, 40])
+@pytest.mark.parametrize("cells", [_CHUNK_CELLS, 1, 40])
 @pytest.mark.parametrize("name,make,corank", _EXACT_CASES, ids=[c[0] for c in _EXACT_CASES])
-def test_orbit_walk_matches_all_flats_oracle(monkeypatch, name, make, corank, cells):
-    # class by class: representative span, member count and orbit size
+def test_orbit_walk_matches_all_flats_oracle(name, make, corank, cells):
+    # class by class: representative span, member count and orbit size;
+    # cells bounds the oracle's chunks, as in the sweep test above
     cfg = make()
-    want = oracle_flat_classes(cfg, corank)
-    monkeypatch.setattr(catalog, "_CHUNK_CELLS", cells)
-    assert enumerate_flat_classes(cfg, corank) == want
+    assert enumerate_flat_classes(cfg, corank) == oracle_flat_classes(cfg, corank, cells)
 
 
-def test_walk_refuses_entries_that_could_overflow():
-    # level 1 fits in int64, but the annihilators of its flats carry entries
-    # near 2^40, so the products of level 2 could wrap around
+def test_walk_is_exact_beyond_int64():
+    # the annihilators of the corank-1 flats carry entries near 2^40, so
+    # their products with the covectors at corank 2 exceed int64
     big = 1 << 40
     cfg = configuration(3, [[big + 1, 3, 5], [7, big + 3, 1], [2, 1, big + 5], [1, 1, 1]],
                         [1, 1, 1, 1])
-    assert len(enumerate_flat_classes(cfg, 1)) == 4
-    with pytest.raises(CatalogError, match="overflow int64"):
-        enumerate_flat_classes(cfg, 2)
+    classes = enumerate_flat_classes(cfg, 2)
+    assert [fc.corank for fc in classes] == [1] * 4 + [2] * 6
+    for fc in classes:
+        assert fc.n_members == len(subsystem(cfg, fc.span_indices).member_indices)
 
 
 # the indefinite parent is left out: it has no lambda^2, so no catalog
