@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / check passed, 1 check or verification failed (also a
 restriction refused for a zero class sum), 2 malformed input or unsupported request.
+
+Only the ``wdvv`` and ``catalog`` commands load numpy: each imports its module
+when it runs, so ``import trigvee.cli`` and every exact command stay numpy-free.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from .configuration import from_json_dict, to_json_dict
 from .exactla import rat
 from .families import PARAM_NAMES, family_spec, generate
 from .gamma import gamma_sq_direct, gamma_tilde_sq, gamma_tilde_sq_dual, root_data
-from .catalog import CatalogError, build_catalog
 from .restriction import CDeltaZeroError, restrict
 from .veesystem import (
     NotEigenError,
@@ -26,7 +28,6 @@ from .veesystem import (
     subsystem,
     vee_check,
 )
-from . import wdvv as wdvv_mod
 
 
 class InputError(ValueError):
@@ -95,13 +96,16 @@ def _cmd_check(args) -> int:
         print("vee-system: %s" % ("yes" if report.is_vee else "NO"))
         print("proportional forms: %s" % ("yes" if report.proportionality_ok else "NO"))
         print("lambda_sq: %s" % payload["lambda_sq"])
-        print("positive-system independent: %s" % report.g2_positive_independent)
+        flip = report.g2_positive_independent
+        print("positive-system independent: %s" % ("not probed" if flip is None else flip))
         for w in payload["warnings"]:
             print("warning: zero class sum at anchor %d subset %s" % (w["anchor"], w["subset"]))
     return 0 if report.is_vee and report.proportionality_ok else 1
 
 
 def _cmd_wdvv(args) -> int:
+    from . import wdvv
+
     cfg = _load_config(args.config)
     if args.lambda_sq is not None:
         lam = rat(args.lambda_sq)
@@ -110,7 +114,7 @@ def _cmd_wdvv(args) -> int:
             lam = lambda_sq(cfg)
         except (NotProportionalError, ZeroG2Error) as e:
             raise InputError("lambda^2 is undefined for this configuration: %s" % e)
-    report = wdvv_mod.wdvv_residual(cfg, lam, points=args.samples, seed=args.seed, tol=args.tol)
+    report = wdvv.wdvv_residual(cfg, lam, points=args.samples, seed=args.seed, tol=args.tol)
     payload = {
         "lambda_sq": str(lam),
         "max_residual": report.max_residual,
@@ -204,7 +208,17 @@ def _cmd_gamma(args) -> int:
     return 0 if payload["agree"] else 1
 
 
+def build_catalog(*args):
+    """``catalog.build_catalog``, imported on first use; perfbench/tracer.py wraps it
+    under this name until ROADMAP item 4 moves the tracer onto spans."""
+    from .catalog import build_catalog
+
+    return build_catalog(*args)
+
+
 def _cmd_catalog(args) -> int:
+    from .catalog import CatalogError  # numpy loads here, before the exact work
+
     params = _parse_params(args.param)
     if not params:
         if args.family not in _ROOT_SYSTEMS:
@@ -213,7 +227,11 @@ def _cmd_catalog(args) -> int:
     spec = family_spec(args.family, rank=args.rank, **params)
     cfg = generate(spec)
     label = ",".join("%s=%s" % kv for kv in spec.params)
-    cat = build_catalog(cfg, args.family, label, args.max_corank)
+    try:
+        cat = build_catalog(cfg, args.family, label, args.max_corank)
+    except CatalogError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 1
     _emit(cat.to_json_dict(), args.output)
     return 0
 
@@ -283,7 +301,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, CDeltaZeroError) as e:
+    except CDeltaZeroError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except (InputError, ValueError, KeyError, ZeroDivisionError) as e:

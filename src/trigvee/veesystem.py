@@ -182,7 +182,7 @@ class VeeReport:
     c_delta_warnings: tuple[CDeltaWarning, ...]
     lambda_sq: Fraction | None
     proportionality_ok: bool
-    g2_positive_independent: bool
+    g2_positive_independent: bool | None  # None when no probe ran
 
     def to_json_dict(self) -> dict:
         series: dict[str, dict] = {}
@@ -297,7 +297,7 @@ def vee_check(cfg: Configuration, probe_flips: int = 2, seed: int = 7) -> VeeRep
         prop = all(x == 0 for row in g1(cfg) for x in row)
     except NotProportionalError:
         prop = False
-    flip_ok = g2_positive_flip_invariant(cfg, probe_flips, seed) if probe_flips else True
+    flip_ok = g2_positive_flip_invariant(cfg, probe_flips, seed) if probe_flips else None
     return VeeReport(is_vee, residuals, warnings_out, lam, prop, flip_ok)
 
 

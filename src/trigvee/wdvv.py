@@ -167,6 +167,11 @@ def _commutator_residual(cfg: Configuration, lam, pts: list[SamplePoint]) -> flo
     return worst
 
 
+def _check_tol(tol) -> None:
+    if not 0 < tol < np.inf:
+        raise ValueError("the tolerance must be finite and positive, got %r" % tol)
+
+
 def wdvv_residual(
     cfg: Configuration,
     lambda_sq,
@@ -175,6 +180,7 @@ def wdvv_residual(
     tol: float = 1e-8,
 ) -> ResidualReport:
     """Max scaled commutator residual of F_i F_{N+1}^{-1} F_j over seeded points."""
+    _check_tol(tol)
     lam = _lambda_from_sq(lambda_sq)
     worst = _commutator_residual(cfg, lam, sample_points(cfg, points, seed))
     return ResidualReport(worst, tol, bool(worst < tol), seed, points)
@@ -218,6 +224,9 @@ def associativity_residual(
     Shares its sample points with the commutator check and reports whether
     the two verdicts agree.
     """
+    _check_tol(tol)
+    if triples < 1:
+        raise ValueError("the number of triples must be positive, got %d" % triples)
     lam = _lambda_from_sq(lambda_sq)
     pts = sample_points(cfg, points, seed)
     rng = np.random.default_rng(seed + 1)

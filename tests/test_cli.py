@@ -216,7 +216,7 @@ def test_catalog_error_exit_1(monkeypatch, capsys):
         return [catalog.FlatClass(fc.span_indices, fc.n_members + 1, fc.corank, fc.class_size)]
 
     monkeypatch.setattr(catalog, "enumerate_flat_classes", miscounted)
-    code, out, err = run(capsys, "catalog", "--family", "G2", "--max-corank", "1")
+    code, out, err = run(capsys, "catalog", "--family", "F4", "--max-corank", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: flat spanned by [0]: the walk counts 2 members")
     assert "exact span closure 1" in err and "Traceback" not in err
@@ -282,3 +282,36 @@ def test_restrict_zero_class_sum_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "restrict", str(path), "--kernel-of", "0")
     assert code == 1 and out == ""
     assert err.startswith("error: collinearity class of spanning covector 0 has zero weighted sum")
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_wdvv_bad_tolerance_exit_2(tol, capsys):
+    # a genuine solution: before the check, -1 and nan printed "-> FAIL" and exited 1
+    f4 = os.path.join(_INPUTS, "F4.json")
+    code, out, err = run(capsys, "wdvv", f4, "--samples", "3", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "tolerance must be finite and positive" in err
+
+
+def test_check_without_probe_reports_not_probed(capsys):
+    f4 = os.path.join(_INPUTS, "F4.json")
+    code, out, err = run(capsys, "check", f4, "--probe-flips", "0")
+    assert code == 0
+    assert "positive-system independent: not probed\n" in out
+    code, out, err = run(capsys, "check", f4, "--probe-flips", "0", "--json")
+    assert json.loads(out)["g2_positive_independent"] is None
+
+
+def test_catalog_failed_reverification_exit_1(monkeypatch, capsys):
+    from trigvee import catalog
+
+    calls = []
+
+    def shifted_lambda_sq(cfg):  # the parent's value, then a wrong one for every child
+        calls.append(cfg)
+        return lambda_sq(cfg) + (len(calls) > 1)
+
+    monkeypatch.setattr(catalog, "lambda_sq", shifted_lambda_sq)
+    code, out, err = run(capsys, "catalog", "--family", "F4", "--max-corank", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: flat spanned by [") and "the child's lambda^2 is" in err

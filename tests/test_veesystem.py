@@ -156,6 +156,7 @@ def test_vee_report_field_consistency():
     good = vee_check(generate(family_spec("BC", 2, r=1, s=1, q=1)), probe_flips=0)
     assert good.lambda_sq is not None and good.proportionality_ok
     assert good.is_vee == all(r.residual == 0 for r in good.series_residuals)
+    assert good.g2_positive_independent is None  # no probe ran, so no claim either way
 
     nonprop = vee_check(
         configuration(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 0]], [1, 1, 1, 1]),

@@ -408,3 +408,21 @@ def test_no_points_is_an_error(points):
         wdvv_residual(cfg, lambda_sq(cfg), points=points)
     with pytest.raises(ValueError):
         associativity_residual(cfg, lambda_sq(cfg), points=points)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_tolerance_is_an_error(tol):
+    cfg = generate(family_spec("BC", 2, r=1, s=1, q=1))
+    with pytest.raises(ValueError, match="tolerance"):
+        wdvv_residual(cfg, lambda_sq(cfg), points=3, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        associativity_residual(cfg, lambda_sq(cfg), points=3, tol=tol)
+
+
+@pytest.mark.parametrize("triples", [0, -2])
+def test_no_triples_is_an_error(triples):
+    # with no triples the associativity residual was 0.0 and passed, even at a
+    # wrong lambda^2 whose commutator residual is large
+    cfg = generate(family_spec("F4", r=1, s=1))
+    with pytest.raises(ValueError, match="triples"):
+        associativity_residual(cfg, lambda_sq(cfg) + 7, points=3, triples=triples)
