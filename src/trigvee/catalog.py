@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -49,24 +50,29 @@ def pairing_profile(cfg: Configuration) -> tuple:
     collects the multiset of (multiplicity, a(a-vee)) diagonal data and the
     multiset of unordered pair data (multiplicities, |a(b-vee)|).  Invariant
     under any invertible change of coordinates and per-covector sign flips.
+
+    Sorted and counted on the cleared integers of ``lattice`` and
+    ``pairings``, whose order is that of the fractions; each distinct value
+    becomes one Fraction at the end.
     """
     import warnings as _warnings
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         cfg = normalize_positive(cfg)
+    _, _, mults, mult_den = lattice(cfg)
     pm, den = pairings(cfg)
-    n = len(cfg)
-    diag = sorted(
-        (cfg.multiplicities[i], Fraction(pm[i][i], den)) for i in range(n)
-    )
-    off = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            ci, cj = cfg.multiplicities[i], cfg.multiplicities[j]
-            lo, hi = (ci, cj) if ci <= cj else (cj, ci)
-            off.append((lo, hi, Fraction(abs(pm[i][j]), den)))
-    return (cfg.dim, tuple(diag), tuple(sorted(off)))
+    diag = sorted(zip(mults, (row[i] for i, row in enumerate(pm))))
+    off = Counter()
+    for i, (ci, row) in enumerate(zip(mults, pm)):
+        for cj, p in zip(mults[i + 1 :], row[i + 1 :]):
+            off[(ci, cj, abs(p)) if ci <= cj else (cj, ci, abs(p))] += 1
+    mult = {c: Fraction(c, mult_den) for c in set(mults)}
+    pair = {p: Fraction(p, den) for p in {p for _, p in diag} | {key[2] for key in off}}
+    pairs = []
+    for (lo, hi, p), count in sorted(off.items()):
+        pairs += [(mult[lo], mult[hi], pair[p])] * count
+    return (cfg.dim, tuple((mult[c], pair[p]) for c, p in diag), tuple(pairs))
 
 
 def canonical_digest(cfg: Configuration) -> str:

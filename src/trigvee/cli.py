@@ -1,7 +1,8 @@
 """Command-line front-end over the JSON configuration interchange format.
 
 Exit codes: 0 success / check passed, 1 check or verification failed (also a
-restriction refused for a zero class sum), 2 malformed input or unsupported request.
+restriction refused for a zero class sum), 2 malformed input or unsupported request,
+141 (128 + SIGPIPE) stdout closed by its reader before the output was written.
 
 Only the ``wdvv`` and ``catalog`` commands load numpy: each imports its module
 when it runs, so ``import trigvee.cli`` and every exact command stay numpy-free.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -300,7 +302,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CDeltaZeroError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

@@ -6,9 +6,9 @@ tangent-space product at seeded random sample points, and reports scaled
 residuals.  Only the cotangent is ever evaluated; the prepotential itself is
 never needed.  All of it runs on float64 copies of the exact data (``float_view``).
 
-Each float quantity is computed once, on whole arrays: candidate points in
-blocks, the third derivatives at a point as one stack, the commutators of all
-pairs and the products of all triples at a point together.
+Each float quantity is computed on whole arrays: candidate points in blocks,
+and the residuals on stacks of sample points, in chunks of ``CHUNK_CELLS``
+cells, the trig third derivatives of a chunk as one product with ``float_cubes``.
 """
 
 from __future__ import annotations
@@ -62,11 +62,13 @@ def _lambda_from_sq(lambda_sq):
 
 # Smallest |sin a(x)| over the covectors that a sample point may have.
 POLE_GUARD = 1.0 / 20
+# float64 cells (two per complex entry) in a chunk's largest temporary array.
+CHUNK_CELLS = 1 << 14
 
 
 def floats(rows) -> np.ndarray:
-    """A read-only float64 array of exact rational data."""
-    out = np.array(rows, dtype=float)
+    """A read-only float64 array of ``rows``; a float64 array is frozen in place."""
+    out = np.asarray(rows, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -91,6 +93,13 @@ def float_duals(cfg: Configuration) -> np.ndarray:
     return floats(duals(cfg)).reshape(len(cfg), cfg.dim)
 
 
+@memo
+def float_cubes(cfg: Configuration) -> np.ndarray:
+    """c_a a_i a_p a_q for every covector a, as a read-only (A, N^3) array."""
+    av, c, _ = float_view(cfg)
+    return floats(np.einsum("a,ai,ap,aq->aipq", c, av, av, av).reshape(len(cfg), cfg.dim**3))
+
+
 def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoint]:
     """Seeded points with min over covectors of |sin a(x)| above the pole guard.
 
@@ -104,7 +113,9 @@ def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoin
     out: list[SamplePoint] = []
     for _ in range(1000):
         xs = rng.uniform(-2.0, 2.0, (points, cfg.dim))
-        ms = np.abs(np.sin(xs @ av.T)).min(axis=1, initial=1.0)
+        vals = xs @ av.T  # the first third of the covectors rejects most candidates
+        keep = np.abs(np.sin(vals[:, : len(cfg) // 3])).min(axis=1, initial=1.0) >= POLE_GUARD
+        xs, ms = xs[keep], np.abs(np.sin(vals[keep])).min(axis=1, initial=1.0)
         for i in np.flatnonzero(ms >= POLE_GUARD)[: points - len(out)]:
             out.append(SamplePoint(tuple(xs[i]), float(ms[i])))
         if len(out) == points:
@@ -121,30 +132,35 @@ def base_form(cfg: Configuration) -> np.ndarray:
     return f
 
 
-def _cot(cfg: Configuration, pt: SamplePoint) -> np.ndarray:
-    """cot a(x) for every covector a, once the point passes the pole guard."""
-    vals = float_view(cfg).covectors @ np.asarray(pt.x)
+def _chunks(pts: list[SamplePoint], cells: int):
+    """The points as (P, N) arrays of at most CHUNK_CELLS // cells rows (at least one)."""
+    step = max(1, CHUNK_CELLS // cells)
+    return (np.array([p.x for p in pts[i : i + step]]) for i in range(0, len(pts), step))
+
+
+def _cot(cfg: Configuration, pt) -> np.ndarray:
+    """cot a(x), covectors on the last axis, at a point or each row of a (P, N) array."""
+    vals = np.asarray(getattr(pt, "x", pt)) @ float_view(cfg).covectors.T
     s = np.sin(vals)
-    if len(cfg) and float(np.min(np.abs(s))) < POLE_GUARD:
+    if s.size and float(np.min(np.abs(s))) < POLE_GUARD:
         raise PoleTooCloseError("sample point violates the pole guard")
     return np.cos(vals) / s
 
 
-def third_derivs(cfg: Configuration, lam, pt: SamplePoint) -> np.ndarray:
-    """The N+1 third-derivative matrices at a sample point, stacked as F[i].
+def third_derivs(cfg: Configuration, lam, pt) -> np.ndarray:
+    """The N+1 third-derivative matrices F[i] at a point (or per row of a (P, N) array).
 
     The trig part contributes lam * c_a a_i a_p a_q cot a(x) to the top-left
     blocks of F_1..F_N; the cubic part contributes the constant borders and
     the base form F_{N+1}.  The stack is complex only when lam is.
     """
-    n = cfg.dim
-    av, c, _ = float_view(cfg)
-    trig = lam * np.einsum("a,ai,ap,aq->ipq", c * _cot(cfg, pt), av, av, av)
+    n, cot = cfg.dim, _cot(cfg, pt)
+    trig = lam * (cot @ float_cubes(cfg)).reshape(cot.shape[:-1] + (n, n, n))
     base = base_form(cfg)
-    f = np.zeros((n + 1, n + 1, n + 1), dtype=trig.dtype)
-    f[:n, :n, :n] = trig
-    f[:n, :n, n] = f[:n, n, :n] = base[:n, :n]
-    f[n] = base
+    f = np.zeros(cot.shape[:-1] + (n + 1,) * 3, dtype=trig.dtype)
+    f[..., :n, :n, :n] = trig
+    f[..., :n, :n, n] = f[..., :n, n, :n] = base[:n, :n]
+    f[..., n, :, :] = base
     return f
 
 
@@ -157,12 +173,12 @@ def _commutator_residual(cfg: Configuration, lam, pts: list[SamplePoint]) -> flo
     binv_norm = np.linalg.norm(binv)
     n = cfg.dim
     worst = 0.0
-    for pt in pts:
-        f = third_derivs(cfg, lam, pt)[:n]
-        pf = (f @ binv)[:, None] @ f[None]  # pf[i, j] = F_i F_{N+1}^{-1} F_j
-        comm = np.linalg.norm(pf - pf.transpose(1, 0, 2, 3), axis=(2, 3))
-        norms = np.linalg.norm(f, axis=(1, 2))
-        scale = 1.0 + np.outer(norms, norms) * binv_norm
+    for xs in _chunks(pts, (n * (n + 1)) ** 2 * np.result_type(lam).itemsize // 8):
+        f = third_derivs(cfg, lam, xs)[:, :n]
+        pf = (f @ binv)[:, :, None] @ f[:, None]  # pf[p, i, j] = F_i F_{N+1}^{-1} F_j at point p
+        comm = np.linalg.norm(pf - pf.transpose(0, 2, 1, 3, 4), axis=(3, 4))
+        norms = np.linalg.norm(f, axis=(2, 3))
+        scale = 1.0 + norms[:, :, None] * norms[:, None] * binv_norm
         worst = max(worst, float(np.max(comm / scale)))
     return worst
 
@@ -186,19 +202,14 @@ def wdvv_residual(
     return ResidualReport(worst, tol, bool(worst < tol), seed, points)
 
 
-def product(cfg: Configuration, lam, pt: SamplePoint, a, b) -> np.ndarray:
-    """The tangent-space product of two vectors of V + U at a sample point.
+def product(cfg: Configuration, lam, pt, a, b) -> np.ndarray:
+    """The tangent-space product of two vectors of V + U at a sample point, or on
+    stacks of vectors (last axis N+1) and of points (see ``_cot``) broadcast together.
 
     On V it is sum over covectors of c w(a) w(b) ((lam/2) cot w(x) w-vee + E),
     extended by linearity with E acting as the identity.
     """
-    return _product(cfg, lam, _cot(cfg, pt), a, b)
-
-
-def _product(cfg: Configuration, lam, cot: np.ndarray, a, b) -> np.ndarray:
-    """``product`` at the point with cotangents ``cot``, on stacks of vectors
-    (last axis N+1)."""
-    n = cfg.dim
+    n, cot = cfg.dim, _cot(cfg, pt)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     av, c, _ = float_view(cfg)
@@ -231,11 +242,11 @@ def associativity_residual(
     pts = sample_points(cfg, points, seed)
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
-    for pt in pts:
-        cot = _cot(cfg, pt)
-        a, b, cc = rng.uniform(-1.0, 1.0, (triples, 3, cfg.dim + 1)).transpose(1, 0, 2)
-        ab, bc = _product(cfg, lam, cot, np.stack([a, b]), np.stack([b, cc]))
-        lhs, rhs = _product(cfg, lam, cot, np.stack([ab, a]), np.stack([cc, bc]))
+    for xs in _chunks(pts, 4 * triples * (len(cfg) + cfg.dim + 1)):
+        # the same stream as one (triples, 3, N+1) draw per point; xs[:, None] spans the triples
+        a, b, cc = rng.uniform(-1.0, 1.0, (len(xs), triples, 3, cfg.dim + 1)).transpose(2, 0, 1, 3)
+        ab, bc = product(cfg, lam, xs[:, None], np.stack([a, b]), np.stack([b, cc]))
+        lhs, rhs = product(cfg, lam, xs[:, None], np.stack([ab, a]), np.stack([cc, bc]))
         n_ab, n_cc, n_bc, n_a = np.linalg.norm(np.stack([ab, cc, bc, a]), axis=-1)
         scale = 1.0 + n_ab * n_cc + n_bc * n_a
         worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=-1) / scale, initial=0.0)))

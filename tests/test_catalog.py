@@ -1,4 +1,6 @@
 import json
+import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +10,50 @@ from trigvee.catalog import (
     enumerate_flat_classes,
     pairing_profile,
 )
-from trigvee.configuration import apply_matrix, configuration
+from trigvee.configuration import apply_matrix, configuration, normalize_positive, pairings
 from trigvee.exactla import mat
 from trigvee.families import family_spec, generate
-from trigvee.veesystem import lambda_sq
+from trigvee.restriction import restrict
+from trigvee.veesystem import lambda_sq, subsystem
+
+
+def oracle_pairing_profile(cfg):
+    """``pairing_profile`` on Fractions: one per entry, sorted as tuples of Fractions."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = normalize_positive(cfg)
+    pm, den = pairings(cfg)
+    n = len(cfg)
+    diag = sorted((cfg.multiplicities[i], Fraction(pm[i][i], den)) for i in range(n))
+    off = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ci, cj = cfg.multiplicities[i], cfg.multiplicities[j]
+            lo, hi = (ci, cj) if ci <= cj else (cj, ci)
+            off.append((lo, hi, Fraction(abs(pm[i][j]), den)))
+    return (cfg.dim, tuple(diag), tuple(sorted(off)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        family_spec("E6", t=1),
+        family_spec("E7", t=1),
+        family_spec("E8", t=1),
+        family_spec("F4", r=1, s=2),
+        family_spec("BC", 4, r=1, s=Fraction(1, 2), q=2),
+    ],
+    ids=["E6", "E7", "E8", "F4", "BC4"],
+)
+def test_pairing_profile_repr_matches_fraction_oracle(spec):
+    # the repr is what canonical_digest hashes, so every digest depends on it byte for byte
+    cfg = generate(spec)
+    children = [
+        restrict(cfg, subsystem(cfg, fc.span_indices)).child
+        for fc in enumerate_flat_classes(cfg, min(3, cfg.dim - 1))
+    ]
+    for c in [cfg, *children]:
+        assert repr(pairing_profile(c)) == repr(oracle_pairing_profile(c))
 
 
 def test_profile_invariant_under_coordinate_change_and_flips():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -315,3 +317,30 @@ def test_catalog_failed_reverification_exit_1(monkeypatch, capsys):
     code, out, err = run(capsys, "catalog", "--family", "F4", "--max-corank", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: flat spanned by [") and "the child's lambda^2 is" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "--family", "G2", "--max-corank", "1"],
+        ["wdvv", os.path.join(_INPUTS, "F4.json"), "--samples", "5", "--json"],
+    ],
+    ids=["catalog", "wdvv"],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # as `trigvee ... | head -1` when head has gone: the command's first write
+    # meets a pipe with no reader.  The read end is closed before the command
+    # starts, so the write fails every time and no timing decides the test.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trigvee.cli", *argv], stdout=w, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert b"Traceback" not in proc.stderr and proc.stderr == b""
+    assert proc.returncode == 141

@@ -21,6 +21,7 @@ from trigvee.wdvv import (
     _lambda_from_sq,
     associativity_residual,
     base_form,
+    float_cubes,
     float_duals,
     float_view,
     product,
@@ -50,6 +51,21 @@ def oracle_sample_points(cfg, points, seed):
         if ms >= POLE_GUARD:
             out.append(SamplePoint(tuple(x), ms))
     return out
+
+
+def oracle_block_sample_points(cfg, points, seed):
+    """Blocks of ``points`` candidates, each tested on every covector at once."""
+    rng = np.random.default_rng(seed)
+    av = float_view(cfg).covectors
+    out = []
+    for _ in range(1000):
+        xs = rng.uniform(-2.0, 2.0, (points, cfg.dim))
+        ms = np.abs(np.sin(xs @ av.T)).min(axis=1, initial=1.0)
+        for i in np.flatnonzero(ms >= POLE_GUARD)[: points - len(out)]:
+            out.append(SamplePoint(tuple(xs[i]), float(ms[i])))
+        if len(out) == points:
+            return out
+    raise PoleTooCloseError("could not find enough pole-free sample points")
 
 
 def oracle_third_derivs(cfg, lam, pt):
@@ -154,6 +170,8 @@ def test_sample_points_match_per_draw_oracle(stem, cfg, points, seed):
     want = oracle_sample_points(cfg, points, seed)
     assert [p.x for p in got] == [p.x for p in want]
     assert max(abs(p.min_sine - q.min_sine) for p, q in zip(got, want)) < 1e-12
+    # the prefix screen changes no bit: the same block product, the same sines
+    assert got == oracle_block_sample_points(cfg, points, seed)
 
 
 @pytest.mark.parametrize("stem,cfg,points", _INPUTS, ids=[i[0] for i in _INPUTS])
@@ -166,6 +184,39 @@ def test_residuals_match_per_pair_and_per_call_oracles(stem, cfg, points):
     assert abs(got.wdvv_max_residual - oracle_commutator_residual(cfg, lam, pts)) < 1e-10
     assert abs(got.max_residual - oracle_associativity(cfg, lam, pts, 5, 3)) < 1e-10
     assert got.wdvv_max_residual == wdvv_residual(cfg, lam_sq, points=12, seed=5).max_residual
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 40], ids=["point-per-chunk", "one-chunk"])
+@pytest.mark.parametrize("case", ["E8", "D8_broken", "Planar9"])
+def test_residuals_match_oracles_at_both_chunk_extremes(monkeypatch, case, cells):
+    import trigvee.wdvv as wdvv_mod
+
+    monkeypatch.setattr(wdvv_mod, "CHUNK_CELLS", cells)
+    if case == "Planar9":  # lambda^2 < 0: complex third derivatives
+        cfg = generate(family_spec("Planar9", a=1, b=-1))
+        lam_sq = lambda_sq(cfg)
+    else:
+        cfg, lam_sq = _CONFIGS[case], lambda_sq(_CONFIGS[case.split("_")[0]])
+    lam = complex(_lambda_from_sq(lam_sq))
+    pts = sample_points(cfg, 9, 6)
+    got = associativity_residual(cfg, lam_sq, points=9, seed=6, triples=2)
+    assert abs(got.wdvv_max_residual - oracle_commutator_residual(cfg, lam, pts)) < 1e-10
+    assert abs(got.max_residual - oracle_associativity(cfg, lam, pts, 6, 2)) < 1e-10
+
+
+def test_pole_in_the_middle_of_a_chunk_fails_both_residuals(monkeypatch):
+    import trigvee.wdvv as wdvv_mod
+
+    monkeypatch.setattr(wdvv_mod, "CHUNK_CELLS", 1 << 40)  # one chunk holds every point
+    cfg = generate(family_spec("BC", 3, r=1, s=1, q=1))
+    lam_sq = lambda_sq(cfg)
+    good = sample_points(cfg, 6, 3)
+    pts = good[:3] + [SamplePoint((1e-9,) * cfg.dim, 1e-9)] + good[3:]
+    with pytest.raises(PoleTooCloseError):
+        _commutator_residual(cfg, _lambda_from_sq(lam_sq), pts)
+    monkeypatch.setattr(wdvv_mod, "sample_points", lambda cfg, points, seed: pts)
+    with pytest.raises(PoleTooCloseError):
+        associativity_residual(cfg, lam_sq, points=len(pts), seed=3)
 
 
 def test_residuals_match_oracles_for_negative_lambda_sq():
@@ -204,6 +255,21 @@ def test_third_derivs_match_per_matrix_oracle():
             want = np.stack(oracle_third_derivs(cfg, complex(lam), pt))
             assert got.shape == (cfg.dim + 1,) * 3 and got.dtype == want.dtype
             assert np.max(np.abs(got - want)) < 1e-12 * (1 + np.max(np.abs(want)))
+
+
+def test_third_derivs_of_one_point_is_its_row_of_a_chunk():
+    cfg = generate(family_spec("BC", 3, r=1, s=Q(1, 2), q=2))
+    assert not float_cubes(cfg).flags.writeable
+    pts = sample_points(cfg, 5, 4)
+    xs = np.array([p.x for p in pts])
+    for lam in (_lambda_from_sq(lambda_sq(cfg)), _lambda_from_sq(-2)):
+        stack = third_derivs(cfg, lam, xs)
+        assert stack.shape == (len(pts),) + (cfg.dim + 1,) * 3
+        for pt, row in zip(pts, stack):
+            # one point is a vector-matrix product, a chunk a matrix product: equal to rounding
+            one = third_derivs(cfg, lam, pt)
+            assert one.dtype == row.dtype
+            assert np.max(np.abs(one - row)) < 1e-12 * (1 + np.max(np.abs(row)))
 
 
 def trig_second_derivs(cfg, lam, x):
