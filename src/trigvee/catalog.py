@@ -5,23 +5,25 @@ Flats (subsets of the form configuration-intersect-span) are enumerated
 exactly on the integer view, level by level, by extending one representative
 flat per orbit of the configuration's simple reflections by one line of its
 quotient at a time, from one annihilator basis in Python integers per
-representative.  Each new orbit is closed breadth-first on packed member
-bits; its size is the class size.  Each class representative is re-verified
-and restricted exactly.  Entries are merged by ``canonical_digest``, which
-keys on intrinsic invariants of the restriction and is the one heuristic left:
-full linear-equivalence testing is out of scope.
+representative.  No orbit is listed: a pure-Python stabiliser-chain core
+(Schreier-Sims and a backtrack over the chain) decides whether a flat lies
+in a known orbit, and the class size is |G| / |Stab|.  Each class
+representative is re-verified and restricted exactly.  Entries are merged
+by ``canonical_digest``, which keys on intrinsic invariants of the
+restriction and is the one heuristic left: full linear-equivalence testing
+is out of scope.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
-
-import numpy as np
 
 from .configuration import (
     Configuration,
@@ -90,44 +92,48 @@ class FlatClass:
 
 def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClass]:
     """Classes of span-closed subsets of corank 1..max_corank: one per orbit,
-    on the member sets, of the group the ``simple_reflections`` generate.
+    on the member sets, of the group G the ``simple_reflections`` generate.
 
     The walk starts from the empty flat and extends, level by level, only the
     previous level's representatives.  A symmetry maps the children of a flat
     onto the children of its image, so every orbit of a level holds a child
     of a representative.  The children of flat f are span(f, a) for each
     anchor a outside f: f's members plus the covectors on a's line modulo f
-    (``_quotient_lines``).  A child outside every orbit found so far opens a
-    class: its orbit is closed breadth-first on the member bits, and the
-    orbit size is its ``class_size``.  A class's representative is thus the
-    first child, in (representative, anchor) order, in its orbit, which is
-    also the orbit's first flat in a walk that extends every flat.  Classes
-    come out level by level, ordered by representative.  Without reflection
-    symmetries, every flat is a class of its own.
+    (``_quotient_lines``).  A child in no orbit found so far at its level
+    opens a class, so a class's representative is the first child, in
+    (representative, anchor) order, in its orbit: the orbit's first flat in
+    a walk that extends every flat.  Classes come out level by level,
+    ordered by representative.
+
+    No orbit is listed.  G gets one stabiliser chain (``_schreier_sims``),
+    each class one more whose base starts with the class's ``_Flat.key``
+    anchors (``_rebase``), and ``class_size`` is |G| / |Stab| (``_Flat``).
+    A child lies in a class's orbit exactly when some g maps the class's key
+    anchors into the child's ``_Flat.target``, which a backtrack over the
+    class's chain decides (``_images``).  Without reflection symmetries,
+    every flat is a class of its own.
     """
     if not 0 <= max_corank < cfg.dim:
         raise ValueError("max_corank must lie in [0, dim)")
-    n, covs = len(cfg), lattice(cfg).covectors
-    gens = np.array([perm for perm, _ in simple_reflections(cfg)], dtype=np.intp).reshape(-1, n)
-    anchors = [cls.anchor for cls in collinear_classes(cfg)]
-    level: list[tuple[int, ...]] = [()]
+    covs = lattice(cfg).covectors
+    walk = _Walk(cfg)
+    level = [_Flat(walk, (), frozenset())]
     out: list[FlatClass] = []
     for corank in range(1, max_corank + 1):
-        seen, reps = set(), []
-        for span in level:
-            lines = _quotient_lines(covs, span, cfg.dim)
-            inside = np.array([i not in lines for i in range(n)])
-            for a in anchors:
-                if a not in lines:
+        reps: list[_Flat] = []
+        for parent in level:
+            lines = _quotient_lines(covs, parent.span, cfg.dim)
+            done = set()
+            for a in walk.anchors:
+                line = lines.get(a)
+                if line is None or id(line) in done:  # inside f, or a child already seen
                     continue
-                mask = inside.copy()
-                mask[lines[a]] = True
-                row = np.packbits(mask)
-                if row.tobytes() not in seen:
-                    orbit = _orbit(row, gens, n)
-                    seen |= orbit
-                    reps.append(span + (a,))
-                    out.append(FlatClass(span + (a,), int(mask.sum()), corank, len(orbit)))
+                done.add(id(line))
+                child = _Flat(walk, parent.span + (a,), parent.members.union(line))
+                if not any(rep.holds(child) for rep in reps):
+                    reps.append(child)
+                    out.append(FlatClass(child.span, len(child.members), corank,
+                                         walk.order // child.stabiliser_order()))
         level = reps
     return out
 
@@ -160,6 +166,14 @@ def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
     Reflection Groups and Coxeter Groups, 1.7).  The simple reflections
     generate the same group as all reflecting symmetries.
     """
+    symmetries, flips = _reflections(cfg)
+    return [symmetries[b] for b in _simple(flips, symmetries)]
+
+
+def _reflections(cfg: Configuration) -> tuple[dict, dict]:
+    """The reflecting symmetries {b: (perm, signs)} by anchor b (see
+    ``simple_reflections``), and for each b the set of reflecting anchors
+    whose line s_b turns from positive to negative or back."""
     covs, _, mults, _ = lattice(cfg)
     pm, _ = pairings(cfg)
     phi = auto_functional(cfg)
@@ -172,10 +186,19 @@ def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
             continue
         perm, signs = [], []
         for i, a in enumerate(covs):
-            img = [bb * x - 2 * pm[i][b] * y for x, y in zip(a, lb)]
-            if any(x % bb for x in img):
-                break
-            q = tuple(x // bb for x in img)
+            c = 2 * pm[i][b]
+            if c == 0:  # a is fixed
+                perm.append(i)
+                signs.append(1)
+                continue
+            if c % bb:
+                img = [bb * x - c * y for x, y in zip(a, lb)]
+                if any(x % bb for x in img):
+                    break
+                q = tuple(x // bb for x in img)
+            else:
+                c //= bb
+                q = tuple(x - c * y for x, y in zip(a, lb))
             j, sign = index.get(q), 1
             if j is None:
                 j, sign = index.get(tuple(-x for x in q)), -1
@@ -186,24 +209,260 @@ def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
         else:
             if len(set(perm)) == len(covs):
                 symmetries[b] = (perm, signs)
-    return [
-        (perm, signs)
-        for perm, signs in symmetries.values()
-        if sum(((signs[c] > 0) == positive[perm[c]]) != positive[c] for c in symmetries) == 1
-    ]
+    flips = {
+        b: {c for c in symmetries if ((signs[c] > 0) == positive[perm[c]]) != positive[c]}
+        for b, (perm, signs) in symmetries.items()
+    }
+    return symmetries, flips
 
 
-def _orbit(row, gens, n) -> set[bytes]:
-    """The orbit of one packed member set under the index permutations gens,
-    closed breadth-first, as the bytes of each packed member set."""
-    orbit, todo, size = {row.tobytes()}, row[None], row.size
-    while len(todo):
-        mask = np.unpackbits(todo, axis=1, count=n)
-        buf = np.packbits(np.take(mask, gens, axis=1), axis=2).tobytes()
-        new = {buf[i:i + size] for i in range(0, len(buf), size)} - orbit
-        orbit |= new
-        todo = np.frombuffer(b"".join(new), dtype=np.uint8).reshape(-1, size)
-    return orbit
+def _simple(flips, lines) -> list[int]:
+    """The simple system, in increasing order, of the reflection group
+    generated by the reflections in ``lines`` (reflecting anchors whose lines
+    the group permutes): the lines whose reflection turns exactly one line of
+    the set negative, namely its own."""
+    lines = set(lines)
+    return [b for b in sorted(lines) if len(flips[b] & lines) == 1]
+
+
+class _Walk:
+    """What every flat of one walk shares: G's chain and order, the
+    reflecting symmetries, and each covector's collinearity anchor."""
+
+    def __init__(self, cfg: Configuration):
+        self.n = len(cfg)
+        self.symmetries, self.flips = _reflections(cfg)
+        self.reflecting = frozenset(self.symmetries)
+        gens = [tuple(self.symmetries[b][0]) for b in _simple(self.flips, self.reflecting)]
+        self.chain = _schreier_sims(gens, self.n)
+        self.order = self.chain.order()
+        classes = collinear_classes(cfg)
+        self.anchors = [cls.anchor for cls in classes]
+        self.anchor_of = [0] * self.n
+        for cls in classes:
+            for i in cls.indices:
+                self.anchor_of[i] = cls.anchor
+        self.rng = random.Random(0)  # the chains are certified, so the draws never matter
+
+
+class _Flat:
+    """A flat of the walk: its spanning anchors and member set, and, for a
+    class representative, its stabiliser chain.
+
+    The flat's key anchors are a simple system S of the reflection group W_F
+    its reflecting members generate, when those members span the flat, and
+    its span otherwise.  Either way they span the flat, and a symmetry that
+    maps them into a flat of the same size maps the flat onto it, since a
+    flat is the configuration meet its span and the symmetry is linear.  The
+    image of S is a simple system of the image's reflecting lines, and the
+    image's W is transitive on those (Humphreys 1.8), so a child lies in the
+    orbit exactly when some g maps S onto the child's own simple system: a
+    search over at most k! images.
+    """
+
+    def __init__(self, walk: _Walk, span: tuple[int, ...], members: frozenset[int]):
+        self.walk, self.span, self.members = walk, span, members
+        self.reflecting = members & walk.reflecting
+
+    @cached_property
+    def key(self) -> tuple[list[int], bool]:
+        """The key anchors, and whether they are a simple system."""
+        simple = _simple(self.walk.flips, self.reflecting)
+        spanned = len(simple) == len(self.span)
+        return (simple if spanned else list(self.span)), spanned
+
+    @cached_property
+    def target(self) -> list[int]:
+        """Where a symmetry onto this flat sends another flat's key anchors:
+        the covectors on the lines of its simple system, or all members."""
+        key, spanned = self.key
+        lines = set(key)
+        return [i for i in sorted(self.members) if not spanned or self.walk.anchor_of[i] in lines]
+
+    @cached_property
+    def chain(self) -> _Chain:
+        return _rebase(self.walk.chain, self.key[0], self.walk.rng)
+
+    def holds(self, other: _Flat) -> bool:
+        """Whether other lies in this representative's orbit."""
+        if len(other.members) != len(self.members) or len(other.reflecting) != len(self.reflecting):
+            return False
+        if other.members == self.members:
+            return True
+        if other.key[1] != self.key[1]:
+            return False
+        return _images(self.chain, len(self.span), other.target, first=True) > 0
+
+    def stabiliser_order(self) -> int:
+        """|Stab_G(F)|.  Without a simple system, the images of the span that
+        stay in F times the order of the rest of the chain.  With one, S:
+        W_F lies in Stab(F), which permutes the simple systems of F's
+        reflecting lines, and W_F alone is transitive on them, so counting
+        the orbit of S's lines both ways gives |Stab(F)| = |W_F| |Stab_G{S}|
+        / |Stab_W{S}|, each setwise stabiliser a search over at most k!
+        images of S.  (W_F is also the pointwise stabiliser of F's kernel, by
+        Steinberg's theorem, 1964.)  W_F acts here on F's members only."""
+        k, (key, spanned) = len(self.span), self.key
+        stab = _images(self.chain, k, self.target) * self.chain.order(k)
+        if not spanned:
+            return stab
+        local = {m: j for j, m in enumerate(sorted(self.members))}
+        gens = [tuple(local[self.walk.symmetries[b][0][m]] for m in local) for b in key]
+        w = _schreier_sims(gens, len(local), [local[b] for b in key])
+        w_stab = _images(w, k, [local[i] for i in self.target]) * w.order(k)
+        return w.order() // w_stab * stab
+
+
+# Permutations are tuples of point images; _mul(p, q) applies q, then p.
+
+
+def _mul(p: tuple, q: tuple) -> tuple:
+    return tuple(map(p.__getitem__, q))
+
+
+def _inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+class _Chain:
+    """A stabiliser chain (Seress, Permutation Group Algorithms, 2003, 4.1):
+    base points b_0, b_1, ..., and for each level i the strong generators
+    fixing b_0 .. b_{i-1}, as (g, g^-1) pairs, and the transversal of b_i's
+    basic orbit under them, {y: (u, u^-1)} with u(b_i) = y."""
+
+    def __init__(self, base, n: int):
+        self.ident = tuple(range(n))
+        self.base, self.gens, self.trans = [], [], []
+        for b in base:
+            self.add_level(b)
+
+    def add_level(self, b: int) -> None:
+        self.base.append(b)
+        self.gens.append([])
+        self.trans.append({b: (self.ident, self.ident)})
+
+    def order(self, start: int = 0) -> int:
+        """The product of the basic orbit lengths from level start on."""
+        out = 1
+        for t in self.trans[start:]:
+            out *= len(t)
+        return out
+
+    def sift(self, g: tuple, start: int = 0) -> tuple[tuple, int]:
+        """Strip g level by level from start; returns what is left and the
+        level where it left the basic orbit (the number of levels if none)."""
+        for i in range(start, len(self.base)):
+            y = g[self.base[i]]
+            if y != self.base[i]:
+                t = self.trans[i].get(y)
+                if t is None:
+                    return g, i
+                g = _mul(t[1], g)
+        return g, len(self.base)
+
+    def add_generator(self, h: tuple, levels) -> None:
+        """Add h to the strong generators of the given levels, each of whose
+        base points before it h fixes, and grow their basic orbits."""
+        if h != self.ident and all(h[b] == b for b in self.base):
+            self.add_level(next(p for p, x in enumerate(h) if x != p))
+            levels = [*levels, len(self.base) - 1]
+        pair = (h, _inverse(h))
+        for i in levels:
+            gens, trans = self.gens[i], self.trans[i]
+            gens.append(pair)
+            todo, old = list(trans), len(trans)
+            for k, y in enumerate(todo):
+                u, ui = trans[y]
+                # the old orbit is closed under the old generators
+                for s, si in (gens if k >= old else (pair,)):
+                    z = s[y]
+                    if z not in trans:
+                        trans[z] = (_mul(s, u), _mul(ui, si))
+                        todo.append(z)
+
+
+def _schreier_sims(gens, n: int, base=()) -> _Chain:
+    """The deterministic Schreier-Sims algorithm (Seress 4.2): a complete
+    chain of the group generated by gens, its base starting with ``base``.
+
+    Level by level from the bottom, every Schreier generator
+    u_{s(y)}^-1 s u_y of a level is sifted through the levels below it; one
+    that does not reduce to the identity joins those levels' generators, and
+    the check resumes at the deepest level it joined."""
+    chain = _Chain(base, n)
+    for g in gens:
+        if g != chain.ident:
+            j = next((i for i, b in enumerate(chain.base) if g[b] != b), len(chain.base) - 1)
+            chain.add_generator(g, range(j + 1))
+    i = len(chain.base) - 1
+    while i >= 0:
+        residue = _schreier_residue(chain, i)
+        if residue is None:
+            i -= 1
+            continue
+        h, j = residue
+        chain.add_generator(h, range(i + 1, min(j + 1, len(chain.base))))
+        i = min(j, len(chain.base) - 1)
+    return chain
+
+
+def _schreier_residue(chain: _Chain, i: int):
+    """A Schreier generator of level i that does not sift to the identity
+    through the levels below it, as (residue, level it stopped at), or None."""
+    trans = chain.trans[i]
+    for y, (u, _) in trans.items():
+        for s, _ in chain.gens[i]:
+            h, j = chain.sift(_mul(trans[s[y]][1], _mul(s, u)), i + 1)
+            if h != chain.ident:
+                return h, j
+    return None
+
+
+def _rebase(chain: _Chain, base, rng: random.Random) -> _Chain:
+    """A complete chain of chain's group whose base starts with ``base``:
+    a random Schreier-Sims (Seress 4.3) on uniformly random elements, one
+    transversal element per level of chain, until the product of the basic
+    orbit lengths reaches the group's order, which certifies it."""
+    order, new = chain.order(), _Chain(base, len(chain.ident))
+    inverses = [[ui for _, ui in t.values()] for t in chain.trans]
+    while new.order() < order:
+        g = chain.ident
+        for level in inverses:
+            g = _mul(rng.choice(level), g)
+        h, j = new.sift(g)
+        if h != new.ident:
+            new.add_generator(h, range(min(j + 1, len(new.base))))
+    return new
+
+
+def _images(chain: _Chain, k: int, target, first: bool = False) -> int:
+    """The number of tuples (g(b_0), ..., g(b_{k-1})) over g in the chain's
+    group with every entry in target; with first, 1 at the first such tuple.
+
+    Depth-first over the first k levels: below a prefix p of transversal
+    elements, the candidates at level i are p^-1(target) meet the basic
+    orbit, so only the preimages of the target are carried down.  The last
+    level is counted without descending."""
+    trans = chain.trans
+
+    def walk(i: int, pre: list[int]) -> int:
+        orbit = trans[i]
+        if i == k - 1:
+            return sum(y in orbit for y in pre)
+        total = 0
+        for y in pre:
+            t = orbit.get(y)
+            if t is not None:
+                ui = t[1]
+                total += walk(i + 1, [ui[x] for x in pre])
+                if first and total:
+                    return 1
+        return total
+
+    return walk(0, list(target))
 
 
 @dataclass(frozen=True)

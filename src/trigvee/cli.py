@@ -1,11 +1,12 @@
 """Command-line front-end over the JSON configuration interchange format.
 
 Exit codes: 0 success / check passed, 1 check or verification failed (also a
-restriction refused for a zero class sum), 2 malformed input or unsupported request,
-141 (128 + SIGPIPE) stdout closed by its reader before the output was written.
+restriction refused for a zero class sum), 2 malformed input, unsupported request
+or an ``-o`` path that cannot be written, 141 (128 + SIGPIPE) stdout closed by its
+reader before the output was written.
 
-Only the ``wdvv`` and ``catalog`` commands load numpy: each imports its module
-when it runs, so ``import trigvee.cli`` and every exact command stay numpy-free.
+Only the ``wdvv`` command loads numpy: it imports its module when it runs, so
+``import trigvee.cli`` and every other command stay numpy-free.
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ def _load_config(path: str):
 def _emit(obj, out: str | None):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise InputError("cannot write %s: %s" % (out, e.strerror or e))
     else:
         print(text)
 
@@ -219,7 +223,7 @@ def build_catalog(*args):
 
 
 def _cmd_catalog(args) -> int:
-    from .catalog import CatalogError  # numpy loads here, before the exact work
+    from .catalog import CatalogError  # only this command loads the catalog module
 
     params = _parse_params(args.param)
     if not params:

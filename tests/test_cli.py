@@ -344,3 +344,20 @@ def test_closed_stdout_exits_141_without_traceback(argv):
         os.close(w)
     assert b"Traceback" not in proc.stderr and proc.stderr == b""
     assert proc.returncode == 141
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "G2", "--param", "p=1", "--param", "q=2"],
+        ["restrict", os.path.join(_INPUTS, "F4.json"), "--kernel-of", "0"],
+        ["catalog", "--family", "G2", "--max-corank", "1"],
+    ],
+    ids=["gen", "restrict", "catalog"],
+)
+def test_unwritable_output_exit_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"  # its directory does not exist
+    code, out, err = run(capsys, *argv, "-o", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: cannot write %s: No such file or directory\n" % path
+    assert not path.exists()

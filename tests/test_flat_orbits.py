@@ -1,18 +1,23 @@
-"""Exact reflection orbits of flats: the generators and the orbit counts.
+"""Exact reflection orbits of flats: the generators, the stabiliser chains
+and the orbit counts.
 
 The orbit counts up to corank 3 are checked against the orbit types of
 flats of the exceptional Weyl arrangements tabulated by Orlik and Terao
 (Arrangements of Hyperplanes, 1992), an independent source.  The E6 and E7
-counts at coranks 4 and 5 pin what the walk finds.
+counts at coranks 4 and 5 pin what the walk finds.  The group orders are
+|W| / 2, or |W| for E6, whose -1 is no reflection product: W acts on lines.
 """
 
+import random
 from collections import Counter
 
 import pytest
 
+from trigvee import catalog
 from trigvee.catalog import enumerate_flat_classes, simple_reflections
 from trigvee.configuration import configuration, lattice, pairings
 from trigvee.families import family_spec, generate
+from trigvee.veesystem import subsystem
 
 
 def _isotropic_pair():
@@ -93,3 +98,63 @@ def test_orbit_counts(name, spec, corank, orbits):
     classes = enumerate_flat_classes(generate(spec), corank)
     assert Counter((c.corank, c.n_members, c.class_size) for c in classes) == Counter(orbits)
 
+
+
+_ORDERS = [
+    ("F4", family_spec("F4", r=1, s=1), 576),
+    ("E6", family_spec("E6", t=1), 51_840),
+    ("E7", family_spec("E7", t=1), 1_451_520),
+    ("E8", family_spec("E8", t=1), 348_364_800),
+]
+
+
+def _assert_complete(chain, order):
+    """The chain is consistent, and every Schreier generator of every level
+    sifts to the identity through the levels below it."""
+    assert chain.order() == order
+    for i, (b, trans) in enumerate(zip(chain.base, chain.trans)):
+        for s, si in chain.gens[i]:
+            assert all(s[c] == c for c in chain.base[:i])
+            assert catalog._mul(s, si) == chain.ident
+        for y, (u, ui) in trans.items():
+            assert u[b] == y and catalog._mul(u, ui) == chain.ident
+            for s, _ in chain.gens[i]:
+                g = catalog._mul(trans[s[y]][1], catalog._mul(s, u))
+                assert chain.sift(g, i + 1) == (chain.ident, len(chain.base))
+
+
+@pytest.mark.parametrize("name,spec,order", _ORDERS, ids=[c[0] for c in _ORDERS])
+def test_group_order_and_complete_chain(name, spec, order):
+    walk = catalog._Walk(generate(spec))
+    assert walk.order == order
+    _assert_complete(walk.chain, order)
+    # a rebased chain is certified by the order alone; check it the long way
+    base = random.Random(name).sample(range(walk.n), 3)
+    chain = catalog._rebase(walk.chain, base, random.Random(1))
+    assert chain.base[:3] == base
+    _assert_complete(chain, order)
+
+
+_STEINBERG = [
+    ("E6", family_spec("E6", t=1), 5),
+    ("E7", family_spec("E7", t=1), 4),
+    ("D5", family_spec("D", 5, t=1), 4),
+    ("BC4", family_spec("BC", 4, r=1, s=2, q=3), 3),
+    ("F4(-1,-2/3)", family_spec("F4", r=-1, s="-2/3"), 3),
+]
+
+
+@pytest.mark.parametrize("name,spec,corank", _STEINBERG, ids=[c[0] for c in _STEINBERG])
+def test_steinberg_count_equals_plain_count(name, spec, corank):
+    # |W_F| |Stab_G{S}| / |Stab_W{S}| against the images of the span that
+    # stay in the flat, times the order of the rest of a chain on the span
+    cfg = generate(spec)
+    walk = catalog._Walk(cfg)
+    for fc in enumerate_flat_classes(cfg, corank):
+        members = frozenset(subsystem(cfg, fc.span_indices).member_indices)
+        flat = catalog._Flat(walk, fc.span_indices, members)
+        simple, spanned = flat.key
+        assert spanned and len(simple) == fc.corank  # every flat is spanned by its roots
+        chain = catalog._rebase(walk.chain, fc.span_indices, walk.rng)
+        plain = catalog._images(chain, fc.corank, members) * chain.order(fc.corank)
+        assert flat.stabiliser_order() == plain == walk.order // fc.class_size

@@ -1,10 +1,13 @@
-"""Differential tests of the orbit-wise flat walk against three oracles.
+"""Differential tests of the orbit-wise flat walk against four oracles.
 
 The exact oracle is ``subsystem``'s span closure of each flat's spanning
 anchors.  The all-flats oracle extends every flat of a level at once, on
 chunks of int64 numpy arrays (``_next_level``), then labels each flat by the
 first flat of its reflection orbit, as the catalog did before it extended one
-flat per orbit in Python integers.
+flat per orbit in Python integers.  The packed-orbit oracle walks the same
+representatives as the catalog but lists each new orbit on packed member
+bits, as the catalog did before its stabiliser chains; the double count
+checks the chains' class sizes between consecutive levels.
 The float oracle is the original walk (one QR and parallel test per span)
 with the original float fingerprint per flat.  The walk's classes are exact
 reflection orbits, which refine the fingerprint classes: D4's triality, for
@@ -14,6 +17,7 @@ fingerprint class, that the orbits partition each level, and that the
 catalog built on either grouping is the same.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -386,8 +390,20 @@ def test_batched_walk_matches_oracle_on_random_deformations(cfg, chunk):
     assert all((m == w).all() for (_, m), (_, w) in zip(got, want))
 
 
+def _d4_with_half_lines():
+    """D4's roots and the eight lines (1, +-1, +-1, +-1): W(D4) permutes the
+    half lines, but their reflections are no symmetries.  So half the flat
+    classes are not spanned by reflecting members, and the chains count and
+    compare them on their spans, under a group of order 96."""
+    roots = [[int(k == i) + s * int(k == j) for k in range(4)]
+             for i, j in itertools.combinations(range(4), 2) for s in (1, -1)]
+    half = [[1, *signs] for signs in itertools.product((1, -1), repeat=3)]
+    return configuration(4, roots + half, [1] * len(roots) + [2] * len(half))
+
+
 _EXACT_CASES = _CASES + [
     ("F4(-1,-2/3)", lambda: generate(family_spec("F4", r=-1, s=Fraction(-2, 3))), 3),
+    ("D4+half lines", _d4_with_half_lines, 3),
 ] + [(cfg.name, lambda cfg=cfg: cfg, cfg.dim - 1) for cfg in _random_parents(6)]
 
 
@@ -436,3 +452,98 @@ def test_catalog_equal_on_orbits_and_fingerprint_classes(monkeypatch, name, make
     got = build_catalog(cfg, name, "", corank).dumps()
     monkeypatch.setattr(catalog, "enumerate_flat_classes", reference_flat_classes)
     assert got == build_catalog(cfg, name, "", corank).dumps()
+
+
+def _packed_orbit(row, gens, n) -> set[bytes]:
+    """The orbit of one packed member set under the index permutations gens,
+    closed breadth-first, as the bytes of each packed member set."""
+    orbit, todo, size = {row.tobytes()}, row[None], row.size
+    while len(todo):
+        mask = np.unpackbits(todo, axis=1, count=n)
+        images = np.packbits(np.take(mask, gens, axis=1), axis=2).reshape(-1, size)
+        new = set(_row_keys(images).tolist()) - orbit
+        orbit |= new
+        todo = np.frombuffer(b"".join(new), dtype=np.uint8).reshape(-1, size)
+    return orbit
+
+
+def oracle_packed_orbit_walk(cfg, max_corank):
+    """The orbit walk with every orbit listed, as the catalog ran it before
+    its stabiliser chains: the same representatives and children, but each
+    new orbit is closed breadth-first on packed member bits (``_packed_orbit``),
+    its size is the class size, and a child is new when its bits lie in no
+    orbit listed so far."""
+    n, covs = len(cfg), lattice(cfg).covectors
+    gens = np.array([perm for perm, _ in simple_reflections(cfg)], dtype=np.intp).reshape(-1, n)
+    anchors = [cls.anchor for cls in collinear_classes(cfg)]
+    level, out = [()], []
+    for corank in range(1, max_corank + 1):
+        seen, reps = set(), []
+        for span in level:
+            lines = catalog._quotient_lines(covs, span, cfg.dim)
+            inside = np.array([i not in lines for i in range(n)])
+            for a in anchors:
+                if a not in lines:
+                    continue
+                mask = inside.copy()
+                mask[lines[a]] = True
+                row = np.packbits(mask)
+                if row.tobytes() not in seen:
+                    orbit = _packed_orbit(row, gens, n)
+                    seen |= orbit
+                    reps.append(span + (a,))
+                    out.append(FlatClass(span + (a,), int(mask.sum()), corank, len(orbit)))
+        level = reps
+    return out
+
+
+_PACKED_ORBIT_CASES = _EXACT_CASES + [("E8", lambda: generate(family_spec("E8", t=1)), 4)]
+
+
+@pytest.mark.parametrize("name,make,corank", _PACKED_ORBIT_CASES,
+                         ids=[c[0] for c in _PACKED_ORBIT_CASES])
+def test_chain_walk_matches_packed_orbit_walk(name, make, corank):
+    # class by class: the chains' |G| / |Stab| against the listed orbit
+    cfg = make()
+    assert enumerate_flat_classes(cfg, corank) == oracle_packed_orbit_walk(cfg, corank)
+
+
+_DOUBLE_COUNT_CASES = [
+    ("E6", lambda: generate(family_spec("E6", t=1)), 4),
+    ("D5", lambda: generate(family_spec("D", 5, t=1)), 4),
+] + [case for case in _EXACT_CASES if case[0] in (
+    "BC4", "F4", "A(1,2,3,1)", "F4(-1,-2/3)", "D4+half lines"
+)]
+
+
+@pytest.mark.parametrize("name,make,corank", _DOUBLE_COUNT_CASES,
+                         ids=[c[0] for c in _DOUBLE_COUNT_CASES])
+def test_class_sizes_double_count(name, make, corank):
+    # Count the pairs (flat of orbit Y at level l-1, flat of orbit O at level l
+    # containing it) twice: |Y| * #(children of Y's representative in O) =
+    # |O| * #(flats of Y inside O's representative).  Orbits come from the
+    # all-flats oracle's labels, the sizes from the chains.
+    cfg = make()
+    n = len(cfg)
+    classes = enumerate_flat_classes(cfg, corank)
+    index = {fc.span_indices: i for i, fc in enumerate(classes)}
+    gens = [np.array(perm) for perm, _ in simple_reflections(cfg)]
+    levels = []  # per level: (member set, class index) of every flat
+    for spans, packed in oracle_levels(cfg, corank, max(1, _CHUNK_CELLS // (n * n))):
+        label = oracle_orbit_labels(packed, gens, n, max(1, _CHUNK_CELLS // n))
+        masks = np.unpackbits(packed, axis=1, count=n)
+        levels.append([
+            (frozenset(np.flatnonzero(mask).tolist()), index[tuple(spans[f].tolist())])
+            for mask, f in zip(masks, label)
+        ])
+    reps = [frozenset(subsystem(cfg, fc.span_indices).member_indices) for fc in classes]
+    assert all((reps[c], c) in levels[fc.corank - 1] for c, fc in enumerate(classes))
+    pairs = 0
+    for lower, upper in zip(levels, levels[1:]):
+        for y in {c for _, c in lower}:
+            for o in {c for _, c in upper}:
+                children = sum(c == o and reps[y] <= f for f, c in upper)
+                inside = sum(c == y and f <= reps[o] for f, c in lower)
+                assert classes[y].class_size * children == classes[o].class_size * inside
+                pairs += children > 0
+    assert pairs

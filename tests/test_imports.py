@@ -1,4 +1,4 @@
-"""Package exports load lazily, and only ``wdvv`` and ``catalog`` load numpy.
+"""Package exports load lazily, and only ``wdvv`` loads numpy.
 
 The numpy checks run in a fresh interpreter: the test process has numpy
 loaded already.
@@ -58,15 +58,15 @@ def test_exact_commands_load_no_numpy(tmp_path):
         ["restrict", F4, "--kernel-of", "0"],
         ["subsystem", F4, "--span", "0,1", "--json"],
         ["gamma", "--family", "F4", "--p", "1", "--q", "2"],
+        ["catalog", "--family", "G2", "--max-corank", "1"],
     ]
     report = _run(steps)
-    assert [code for _, code, _ in report] == [None] * 3 + [0] * 5
+    assert [code for _, code, _ in report] == [None] * 3 + [0] * 6
     assert [step for step, _, numpy in report if numpy] == []
 
 
 @pytest.mark.parametrize("argv", [
     ["wdvv", F4, "--samples", "5"],
-    ["catalog", "--family", "G2", "--max-corank", "1"],
 ])
 def test_float_commands_load_numpy(argv):
     assert _run(["trigvee.cli", argv]) == [["trigvee.cli", None, False], [argv, 0, True]]
