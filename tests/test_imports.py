@@ -67,6 +67,7 @@ def test_exact_commands_load_no_numpy(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["wdvv", F4, "--samples", "5"],
+    ["wdvv", F4, "--samples", "5", "--json"],
 ])
 def test_float_commands_load_numpy(argv):
     assert _run(["trigvee.cli", argv]) == [["trigvee.cli", None, False], [argv, 0, True]]
