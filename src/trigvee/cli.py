@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .configuration import from_json_dict, to_json_dict
 from .exactla import rat
-from .families import PARAM_NAMES, family_spec, generate
+from .families import _TABLE, PARAM_NAMES, family_spec, generate
 from .gamma import gamma_sq_direct, gamma_tilde_sq, gamma_tilde_sq_dual, root_data
 from .restriction import CDeltaZeroError, restrict
 from .veesystem import (
@@ -35,10 +35,6 @@ from .veesystem import (
 
 class InputError(ValueError):
     pass
-
-
-# Families whose catalog parameters all default to 1: the root systems themselves.
-_ROOT_SYSTEMS = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
 
 def _load_config(path: str):
@@ -69,13 +65,20 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise InputError("expected comma-separated indices, got %r" % text)
 
 
+def _parse_rat(flag: str, text: str) -> Fraction:
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("%s expects a rational number, got %r" % (flag, text)) from None
+
+
 def _parse_params(items) -> dict:
     params = {}
     for item in items or []:
         if "=" not in item:
             raise InputError("--param expects name=value, got %r" % item)
         k, v = item.split("=", 1)
-        params[k] = rat(v)
+        params[k] = _parse_rat("--param " + k, v)
     return params
 
 
@@ -114,7 +117,7 @@ def _cmd_wdvv(args) -> int:
 
     cfg = _load_config(args.config)
     if args.lambda_sq is not None:
-        lam = rat(args.lambda_sq)
+        lam = _parse_rat("--lambda-sq", args.lambda_sq)
     else:
         try:
             lam = lambda_sq(cfg)
@@ -183,8 +186,9 @@ def _cmd_gamma(args) -> int:
     if rd.simply_laced:
         if args.t is None:
             raise InputError("family %s takes --t" % fam)
-        mult = {"all": rat(args.t)}
-        spec = family_spec(fam, rank, t=rat(args.t) / 2)
+        t = _parse_rat("--t", args.t)
+        mult = {"all": t}
+        spec = family_spec(fam, rank, t=t / 2)
     else:
         if fam not in _GAMMA_DUAL_SPEC:
             raise InputError(
@@ -193,8 +197,9 @@ def _cmd_gamma(args) -> int:
             )
         if args.p is None or args.q is None:
             raise InputError("family %s takes --p (short) and --q (long)" % fam)
-        mult = {"short": rat(args.p), "long": rat(args.q)}
-        spec = _GAMMA_DUAL_SPEC[fam](rank, rat(args.p), rat(args.q))
+        p, q = _parse_rat("--p", args.p), _parse_rat("--q", args.q)
+        mult = {"short": p, "long": q}
+        spec = _GAMMA_DUAL_SPEC[fam](rank, p, q)
     highest = gamma_tilde_sq(rd, mult)
     dual_form = gamma_tilde_sq_dual(rd, mult)
     direct = gamma_sq_direct(generate(spec), rd)
@@ -227,9 +232,10 @@ def _cmd_catalog(args) -> int:
 
     params = _parse_params(args.param)
     if not params:
-        if args.family not in _ROOT_SYSTEMS:
+        fam = _TABLE.get(args.family)
+        if fam is None or not fam.catalog_ones:
             raise InputError("family %s needs explicit --param values" % args.family)
-        params = dict.fromkeys(PARAM_NAMES[args.family], Fraction(1))
+        params = dict.fromkeys(fam.params, Fraction(1))
     spec = family_spec(args.family, rank=args.rank, **params)
     cfg = generate(spec)
     label = ",".join("%s=%s" % kv for kv in spec.params)

@@ -276,7 +276,10 @@ def _rat_from_json(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.replace("−", "-"))
+        try:
+            return Fraction(x.replace("−", "-"))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % x) from None
     raise ValueError("cannot parse rational from %r" % (x,))
 
 

@@ -311,12 +311,17 @@ class SubsystemHandle:
     parent: Configuration
     member_indices: tuple[int, ...]
     span_indices: tuple[int, ...]  # independent covectors chosen as a basis of W
-    wdual_basis: tuple[Vec, ...]  # basis of the dual image of W inside V
     is_isotropic: bool
 
     @property
     def corank(self) -> int:
         return len(self.span_indices)
+
+    @property
+    def wdual_basis(self) -> tuple[Vec, ...]:
+        """Basis of the dual image of W inside V: the duals of the span."""
+        dv = duals(self.parent)
+        return tuple(dv[i] for i in self.span_indices)
 
 
 def subsystem(cfg: Configuration, span_indices) -> SubsystemHandle:
@@ -333,17 +338,13 @@ def subsystem(cfg: Configuration, span_indices) -> SubsystemHandle:
     members = tuple(
         j for j, a in enumerate(lat.covectors) if not any(sum(map(mul, a, k)) for k in kernel)
     )
-    dv = duals(cfg)
     # the Gram form of the members on the duals of the basis, scaled to integers
     pm, mults = pairings(cfg)[0], lat.multiplicities
     gb = [
         [sum(mults[m] * pm[m][u] * pm[m][v] for m in members) for v in basis_idx]
         for u in basis_idx
     ]
-    return SubsystemHandle(
-        cfg, members, tuple(basis_idx), tuple(dv[i] for i in basis_idx),
-        rank(gb) < len(basis_idx),
-    )
+    return SubsystemHandle(cfg, members, tuple(basis_idx), rank(gb) < len(basis_idx))
 
 
 def extract(cfg: Configuration, sub: SubsystemHandle) -> Configuration:
@@ -359,7 +360,7 @@ def extract(cfg: Configuration, sub: SubsystemHandle) -> Configuration:
     )
     mults = tuple(cfg.multiplicities[m] for m in sub.member_indices)
     name = None if cfg.name is None else "%s | subsystem %s" % (cfg.name, list(sub.span_indices))
-    return Configuration(len(sub.wdual_basis), covs, mults, name)
+    return Configuration(len(sub.span_indices), covs, mults, name)
 
 
 @dataclass(frozen=True)

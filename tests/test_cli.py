@@ -361,3 +361,32 @@ def test_unwritable_output_exit_2(argv, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: cannot write %s: No such file or directory\n" % path
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--family", "A", "--rank", "2", "--param", "t=1", "--partition", "1,1"],
+     "family A takes no partition"),
+    (["--family", "RestrictedBC", "--partition", "1,2", "--rank", "5",
+      "--param", "r=1", "--param", "s=1", "--param", "q=1"],
+     "family RestrictedBC has rank 2 from its partition, got 5"),
+], ids=["partition", "rank"])
+def test_gen_ignores_no_partition_or_rank_exit_2(argv, message, capsys):
+    assert run(capsys, "gen", *argv) == (2, "", "error: %s\n" % message)
+
+
+def test_zero_denominator_names_its_source(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 1, "covectors": [["1/0"]], "multiplicities": ["1"]}))
+    assert run(capsys, "check", str(path)) == (
+        2, "", "error: cannot read configuration %s: zero denominator in '1/0'\n" % path
+    )
+    assert run(capsys, "gen", "--family", "A", "--rank", "2", "--param", "t=1/0") == (
+        2, "", "error: --param t expects a rational number, got '1/0'\n"
+    )
+    f4 = os.path.join(_INPUTS, "F4.json")
+    assert run(capsys, "wdvv", f4, "--lambda-sq", "1/0") == (
+        2, "", "error: --lambda-sq expects a rational number, got '1/0'\n"
+    )
+    assert run(capsys, "gamma", "--family", "F4", "--p", "1", "--q", "x") == (
+        2, "", "error: --q expects a rational number, got 'x'\n"
+    )

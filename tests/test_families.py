@@ -7,6 +7,8 @@ from trigvee.catalog import pairing_profile
 from trigvee.configuration import gram
 from trigvee.exactla import identity, mat_scale
 from trigvee.families import (
+    FAMILIES,
+    PARAM_NAMES,
     DegenerateParamsError,
     UnsupportedParamsError,
     expected_lambda_sq,
@@ -163,3 +165,62 @@ def test_bad_family_params():
         family_spec("RestrictedBC", partition=(0, 2), r=1, s=1, q=1)
     with pytest.raises(UnsupportedParamsError):
         family_spec("E8", rank=7, t=1)
+    # a partition is read only by the families of a partition, and fixes their rank
+    with pytest.raises(UnsupportedParamsError, match="family A takes no partition"):
+        family_spec("A", 2, partition=(1, 1), t=1)
+    with pytest.raises(UnsupportedParamsError, match="family E8 takes no partition"):
+        family_spec("E8", partition=(4, 4), t=1)
+    with pytest.raises(UnsupportedParamsError, match="rank 2 from its partition, got 5"):
+        family_spec("RestrictedBC", 5, partition=(1, 2), r=1, s=1, q=1)
+    with pytest.raises(UnsupportedParamsError, match="rank 2 from its partition, got 3"):
+        family_spec("RestrictedA", 3, partition=(1, 1, 1), t=1)
+    assert family_spec("RestrictedA", 2, partition=(1, 1, 1), t=1).rank == 2
+
+
+# The table's names and parameters, in order; a family is added or dropped here too.
+def test_family_table_is_pinned():
+    assert FAMILIES == (
+        "A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2", "FourDim", "FourDimA1",
+        "FourDimA2", "Planar6", "Planar8", "Planar9", "Planar10", "RestrictedBC", "RestrictedA",
+    )
+    assert PARAM_NAMES == {
+        "A": ("t",), "B": ("p", "q"), "C": ("p", "q"), "D": ("t",), "BC": ("r", "s", "q"),
+        "E6": ("t",), "E7": ("t",), "E8": ("t",), "F4": ("r", "s"), "G2": ("p", "q"),
+        "FourDim": ("r", "s"), "FourDimA1": ("r", "s"), "FourDimA2": ("r", "s"),
+        "Planar6": ("a", "b"), "Planar8": ("a", "b"), "Planar9": ("a", "b"), "Planar10": ("a",),
+        "RestrictedBC": ("r", "s", "q"), "RestrictedA": ("t",),
+    }
+    assert list(PARAM_NAMES) == list(FAMILIES)
+
+
+# One generic point (rank, partition, parameters) per family of the table.
+_POINTS = {
+    "A": (3, None, dict(t=Q(2, 3))),
+    "B": (3, None, dict(p=2, q=Q(1, 3))),
+    "C": (3, None, dict(p=Q(3, 2), q=1)),
+    "D": (4, None, dict(t=3)),
+    "BC": (3, None, dict(r=1, s=2, q=Q(1, 2))),
+    "E6": (None, None, dict(t=2)),
+    "E7": (None, None, dict(t=Q(1, 2))),
+    "E8": (None, None, dict(t=3)),
+    "F4": (None, None, dict(r=2, s=1)),
+    "G2": (None, None, dict(p=1, q=2)),
+    "FourDim": (None, None, dict(r=1, s=4)),
+    "FourDimA1": (None, None, dict(r=2, s=3)),
+    "FourDimA2": (None, None, dict(r=1, s=1)),
+    "Planar6": (None, None, dict(a=2, b=1)),
+    "Planar8": (None, None, dict(a=3, b=2)),
+    "Planar9": (None, None, dict(a=2, b=1)),
+    "Planar10": (None, None, dict(a=Q(1, 2))),
+    "RestrictedBC": (None, (2, 1, 3), dict(r=1, s=1, q=2)),
+    "RestrictedA": (None, (2, 1, 2), dict(t=Q(3, 2))),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_is_a_vee_system_with_its_closed_form(family):
+    rank, partition, params = _POINTS[family]
+    spec = family_spec(family, rank, partition, **params)
+    cfg = generate(spec)
+    assert lambda_sq(cfg) == expected_lambda_sq(spec)
+    assert all(r.residual == 0 for r in vee_residuals(cfg))

@@ -80,6 +80,12 @@ def test_check_path_builds_no_duals():
     assert "_memo_duals" not in e8.__dict__
 
 
+def test_catalog_path_builds_no_duals():
+    f4 = _fresh(generate(family_spec("F4", r=1, s=1)))
+    build_catalog(f4, "F4", "r=1,s=1", 2)
+    assert "_memo_duals" not in f4.__dict__
+
+
 def test_configuration_freed_after_checks():
     cfg = _fresh(generate(family_spec("BC", 3, r=1, s=2, q=1)))
     vee_check(cfg)
