@@ -8,7 +8,10 @@ quotient at a time, from one annihilator basis in Python integers per
 representative.  No orbit is listed: a pure-Python stabiliser-chain core
 (Schreier-Sims and a backtrack over the chain) decides whether a flat lies
 in a known orbit, and the class size is |G| / |Stab|.  Each class
-representative is re-verified and restricted exactly.  Entries are merged
+representative is restricted exactly, and its child is re-verified exactly:
+the vee-condition at one alpha per orbit of the child's own reflecting
+symmetries (``alpha_orbits``), which decides it at every alpha because a
+symmetry keeps each series residual up to sign.  Entries are merged
 by ``canonical_digest``, which keys on intrinsic invariants of the
 restriction and is the one heuristic left: full linear-equivalence testing
 is out of scope.
@@ -23,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 
 from .configuration import (
     Configuration,
@@ -178,13 +181,15 @@ def _reflections(cfg: Configuration) -> tuple[dict, dict]:
     pm, _ = pairings(cfg)
     phi = auto_functional(cfg)
     positive = [sum(map(mul, a, phi)) > 0 for a in covs]
-    index = {tuple(a): i for i, a in enumerate(covs)}
+    # each row and its negative -> (index, sign); a row itself wins over a negative
+    index = {tuple(-x for x in a): (i, -1) for i, a in enumerate(covs)}
+    index.update((tuple(a), (i, 1)) for i, a in enumerate(covs))
     symmetries = {}
     for b in (cls.anchor for cls in collinear_classes(cfg)):
         bb, lb = pm[b][b], covs[b]
         if bb == 0:  # isotropic: no reflection
             continue
-        perm, signs = [], []
+        perm, signs, steps = [], [], {}
         for i, a in enumerate(covs):
             c = 2 * pm[i][b]
             if c == 0:  # a is fixed
@@ -197,11 +202,11 @@ def _reflections(cfg: Configuration) -> tuple[dict, dict]:
                     break
                 q = tuple(x // bb for x in img)
             else:
-                c //= bb
-                q = tuple(x - c * y for x, y in zip(a, lb))
-            j, sign = index.get(q), 1
-            if j is None:
-                j, sign = index.get(tuple(-x for x in q)), -1
+                step = steps.get(c)
+                if step is None:
+                    step = steps[c] = [c // bb * y for y in lb]
+                q = tuple(map(sub, a, step))
+            j, sign = index.get(q, (None, 0))
             if j is None or mults[j] != mults[i]:
                 break
             perm.append(j)
@@ -214,6 +219,36 @@ def _reflections(cfg: Configuration) -> tuple[dict, dict]:
         for b, (perm, signs) in symmetries.items()
     }
     return symmetries, flips
+
+
+def alpha_orbits(cfg: Configuration) -> list[list[int]]:
+    """The orbits of the covector indices under the reflecting symmetries
+    (``simple_reflections`` generate the same group), each in increasing
+    order, ordered by their first index.
+
+    A symmetry g is linear, permutes the covectors up to sign and keeps the
+    multiplicities, so it keeps the Gram form and ``pairings`` up to the
+    signs of the permutation.  It therefore maps alpha's series onto
+    g(alpha)'s and keeps each series residual up to sign: the vee-condition
+    holds at every alpha of an orbit exactly when it holds at one.
+    """
+    root = list(range(len(cfg)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]  # path halving
+            i = root[i]
+        return i
+
+    for perm, _ in _reflections(cfg)[0].values():
+        for i, j in enumerate(perm):
+            i, j = find(i), find(j)
+            if i != j:
+                root[max(i, j)] = min(i, j)
+    orbits: dict[int, list[int]] = {}
+    for i in range(len(cfg)):
+        orbits.setdefault(find(i), []).append(i)
+    return list(orbits.values())
 
 
 def _simple(flips, lines) -> list[int]:
@@ -523,7 +558,12 @@ def build_catalog(
 
     Every entry's child is re-checked in exact arithmetic: it must pass the
     vee-condition and carry the parent's lambda^2; a failure raises
-    CatalogError.  The corank range is checked before any exact work.
+    CatalogError.  The vee-condition is checked once per alpha-orbit of the
+    child's exact reflecting symmetries (``alpha_orbits``), which is exact:
+    each symmetry maps alpha's series onto g(alpha)'s and keeps every
+    residual up to sign.  When a representative fails, the full
+    ``vee_residuals`` names the first failing alpha and series, as a check
+    of every alpha would.  The corank range is checked before any exact work.
     """
     flats = enumerate_flat_classes(cfg, max_corank)
     parent_lam = lambda_sq(cfg)
@@ -540,10 +580,10 @@ def build_catalog(
                 "%s: the walk counts %d members, the exact span closure %d"
                 % (where, fc.n_members, len(handle.member_indices))
             )
-        res = restrict(cfg, handle)
-        child = res.child
-        bad = [r for r in vee_residuals(child) if r.residual != 0]
-        if bad:
+        child = restrict(cfg, handle).child
+        reps = [orbit[0] for orbit in alpha_orbits(child)]
+        if any(r.residual for r in vee_residuals(child, reps)):
+            bad = [r for r in vee_residuals(child) if r.residual != 0]
             raise CatalogError(
                 "%s: the restricted child fails the vee-condition at %d series, "
                 "first alpha %d, series %s, residual %s"

@@ -424,7 +424,9 @@ def partition_span_indices(parent: Configuration, family: str, partition) -> tup
     For BC/B/C/D the blocks partition the N coordinates; for A they partition
     the N+1 sum-zero coordinates of the realization recorded by the generator.
     """
-    part = tuple(partition)
+    part = tuple(int(m) for m in partition)
+    if any(m < 1 for m in part):
+        raise UnsupportedParamsError("partition entries must be positive integers")
     n = parent.dim
     if family == "A":
         if sum(part) != n + 1:

@@ -20,12 +20,6 @@ class SeriesDecomposition:
     alpha: int
     series: tuple[tuple[int, ...], ...]
 
-    def series_of(self, index: int) -> tuple[int, ...]:
-        for s in self.series:
-            if index in s:
-                return s
-        raise KeyError(index)
-
 
 def series_with_signs(
     cfg: Configuration, alpha_index: int

@@ -202,8 +202,9 @@ class VeeReport:
         }
 
 
-def vee_residuals(cfg: Configuration) -> tuple[SeriesResidual, ...]:
-    """Per-(alpha, series) signed residual of the vee-condition sum.
+def vee_residuals(cfg: Configuration, alphas=None) -> tuple[SeriesResidual, ...]:
+    """Per-(alpha, series) signed residual of the vee-condition sum, for every
+    covector alpha, or only for the indices in alphas, in increasing order.
 
     Sums multiplicity * pairing * sign over each series in integers on the
     configuration's integer view, with one division per series.
@@ -212,7 +213,7 @@ def vee_residuals(cfg: Configuration) -> tuple[SeriesResidual, ...]:
     lat = lattice(cfg)
     mults, den = lat.multiplicities, den * lat.mult_denominator
     out = []
-    for a in range(len(cfg)):
+    for a in range(len(cfg)) if alphas is None else sorted(alphas):
         row = pm[a]
         for members, signs in series_with_signs(cfg, a):
             total = sum(mults[b] * row[b] * signs[b] for b in members)

@@ -10,6 +10,7 @@ from trigvee.families import (
     covector_index,
     family_spec,
     generate,
+    UnsupportedParamsError,
     partition_span_indices,
     restricted_family,
 )
@@ -49,6 +50,18 @@ def test_bc5_partitions_match_tables(partition):
     table = restricted_family(family_spec("RestrictedBC", partition=partition, r=r, s=s, q=q))
     assert as_pairs(res.child) == as_pairs(table)
     assert lambda_sq(res.child) == lambda_sq(bc)
+
+
+@pytest.mark.parametrize("partition", [(4, -1), (-1, 4), (3, 0)])
+@pytest.mark.parametrize(
+    "family, spec",
+    [("BC", family_spec("BC", 3, r=1, s=1, q=1)), ("A", family_spec("A", 2, t=1))],
+    ids=["BC3", "A2"],
+)
+def test_partition_span_indices_rejects_nonpositive_entries(family, spec, partition):
+    # each partition sums to the rank of BC3 and to rank + 1 of A2
+    with pytest.raises(UnsupportedParamsError, match="positive integers"):
+        partition_span_indices(generate(spec), family, partition)
 
 
 def test_a5_partition_multiplicities():
