@@ -7,7 +7,7 @@ with closed-form constants, and an independent floating-point residual
 verifier.
 
 The names below load their submodule on first access (PEP 562), so
-``import trigvee`` loads no submodule; only ``wdvv`` and ``catalog`` load numpy.
+``import trigvee`` loads no submodule; only ``wdvv`` loads numpy.
 """
 
 from importlib import import_module as _import_module

@@ -1,9 +1,9 @@
 """Command-line front-end over the JSON configuration interchange format.
 
 Exit codes: 0 success / check passed, 1 check or verification failed (also a
-restriction refused for a zero class sum), 2 malformed input, unsupported request
-or an ``-o`` path that cannot be written, 141 (128 + SIGPIPE) stdout closed by its
-reader before the output was written.
+restriction refused for a zero class sum), 2 malformed input, unsupported request,
+an ``-o`` path that cannot be written or a request too large for memory, 141
+(128 + SIGPIPE) stdout closed by its reader before the output was written.
 
 Only the ``wdvv`` command loads numpy: it imports its module when it runs, so
 ``import trigvee.cli`` and every other command stay numpy-free.
@@ -325,6 +325,9 @@ def main(argv=None) -> int:
         return 1
     except (InputError, ValueError, KeyError, ZeroDivisionError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print("error: out of memory%s" % (": %s" % e if str(e) else ""), file=sys.stderr)
         return 2
 
 

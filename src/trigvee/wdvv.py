@@ -9,16 +9,32 @@ never needed.  All of it runs on float64 copies of the exact data (``float_view`
 Each float quantity is computed on whole arrays: candidate points in blocks,
 and the residuals on stacks of sample points, in chunks of ``CHUNK_CELLS``
 cells, the trig third derivatives of a chunk as one product with ``float_cubes``.
+
+The largest matrix product is a chunk's, too small to gain from BLAS threads,
+so numpy is loaded with a one-thread OpenBLAS pool unless numpy is loaded
+already or one of ``_THREAD_VARS`` is set; the environment is restored at once,
+so no child process inherits the setting.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" in sys.modules or any(v in os.environ for v in _THREAD_VARS):
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # OpenBLAS reads it only when it loads
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .configuration import Configuration, duals, gram, memo
+from .configuration import Configuration, duals, gram, memo  # noqa: E402
 
 
 class PoleTooCloseError(ValueError):
@@ -103,20 +119,44 @@ def float_cubes(cfg: Configuration) -> np.ndarray:
 def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoint]:
     """Seeded points with min over covectors of |sin a(x)| above the pole guard.
 
-    Tests candidates in blocks of ``points``, at most 1000 blocks; the points
-    accepted are the ones one draw at a time would accept.
+    Draws at most 1000 * ``points`` candidates, in blocks sized from the
+    acceptance rate so far, of at least two rows and about 2 * ``CHUNK_CELLS``
+    cells at most.  Since |sin v| = sin |v - k pi| for the nearest multiple
+    k pi, a candidate with a reduced angle below asin(``POLE_GUARD``), less a
+    margin for the rounding of the reduction at the largest |a(x)|, is rejected
+    without a sine; the survivors take the sines of their rows of the same
+    block product.  The points accepted are the ones one draw at a time would
+    accept.
     """
     if points < 1:
         raise ValueError("the number of sample points must be positive, got %d" % points)
     rng = np.random.default_rng(seed)
-    av = float_view(cfg).covectors
+    avt = float_view(cfg).covectors.T
+    max_rows = max(2, 2 * CHUNK_CELLS // max(len(cfg), cfg.dim, 1))
+    guard_angle = math.asin(min(POLE_GUARD, 1.0))
+    # |v - k pi| is computed within eps * (|v| + pi), and |v| = |a(x)| <= 2 |a|_1 on
+    # the box; the factor 8 also covers the few ulps of the sine and of the arcsine
+    margin = 8 * np.finfo(float).eps * (2.0 * np.abs(avt).sum(axis=0).max(initial=0.0) + 4.0)
     out: list[SamplePoint] = []
-    for _ in range(1000):
-        xs = rng.uniform(-2.0, 2.0, (points, cfg.dim))
-        vals = xs @ av.T  # the first third of the covectors rejects most candidates
-        keep = np.abs(np.sin(vals[:, : len(cfg) // 3])).min(axis=1, initial=1.0) >= POLE_GUARD
+    drawn, limit = 0, 1000 * points
+    while drawn < limit:
+        need = points - len(out)
+        rows = min(max_rows, limit - drawn, max(2, -(-need * (drawn + 1) // (len(out) + 1))))
+        # a one-row product would be a matrix-vector product, which may round
+        # differently; one row is left only for the last candidate, so the spare
+        # row drawn then shifts no later block
+        xs = rng.uniform(-2.0, 2.0, (max(rows, 2), cfg.dim))
+        vals = (xs @ avt)[:rows]
+        xs = xs[:rows]
+        drawn += rows
+        red = np.multiply(vals, 1.0 / np.pi)
+        np.rint(red, out=red)
+        red *= np.pi
+        np.subtract(vals, red, out=red)
+        np.abs(red, out=red)
+        keep = red.min(axis=1, initial=np.pi) >= guard_angle - margin
         xs, ms = xs[keep], np.abs(np.sin(vals[keep])).min(axis=1, initial=1.0)
-        for i in np.flatnonzero(ms >= POLE_GUARD)[: points - len(out)]:
+        for i in np.flatnonzero(ms >= POLE_GUARD)[:need]:
             out.append(SamplePoint(tuple(xs[i]), float(ms[i])))
         if len(out) == points:
             return out

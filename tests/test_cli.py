@@ -295,6 +295,23 @@ def test_wdvv_bad_tolerance_exit_2(tol, capsys):
     assert "tolerance must be finite and positive" in err
 
 
+@pytest.mark.parametrize("error,message", [
+    (MemoryError("Unable to allocate 17.9 GiB"), "error: out of memory: Unable to allocate 17.9 GiB\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_wdvv_out_of_memory_exit_2(monkeypatch, error, message, capsys):
+    # exit 1 means a failed check; before, a failed allocation ended in a traceback and exit 1
+    import trigvee.wdvv as wdvv
+
+    def exhausted(cfg, points, seed):
+        raise error
+
+    monkeypatch.setattr(wdvv, "sample_points", exhausted)
+    f4 = os.path.join(_INPUTS, "F4.json")
+    code, out, err = run(capsys, "wdvv", f4, "--samples", "3")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_check_without_probe_reports_not_probed(capsys):
     f4 = os.path.join(_INPUTS, "F4.json")
     code, out, err = run(capsys, "check", f4, "--probe-flips", "0")

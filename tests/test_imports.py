@@ -1,4 +1,5 @@
-"""Package exports load lazily, and only ``wdvv`` loads numpy.
+"""Package exports load lazily, and only ``wdvv`` loads numpy, with one BLAS
+thread unless the user chose a number.
 
 The numpy checks run in a fresh interpreter: the test process has numpy
 loaded already.
@@ -124,3 +125,48 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         trigvee.no_such_name
     assert not hasattr(trigvee, "no_such_name")
+
+
+# Reports, after the given statements, OPENBLAS_NUM_THREADS as the process sees
+# it, whether os.environ is unchanged over them, and the process's thread count
+# (None without /proc).
+_THREADS_SCRIPT = r"""
+import json, os
+before = dict(os.environ)
+exec(%r)
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), dict(os.environ) == before, tasks]))
+"""
+
+
+def _threads(statements, **env):
+    base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT % statements],
+        capture_output=True, text=True, timeout=120, env=dict(base, **env),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_needs_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="needs /proc and more than one CPU to count BLAS threads",
+)
+
+
+@_needs_threads
+def test_wdvv_loads_numpy_with_one_blas_thread():
+    # the variable is set for the import only: a child process would inherit it
+    assert _threads("import trigvee.wdvv") == [None, True, 1]
+    assert _threads("import trigvee.wdvv, numpy; numpy.ones((2000, 2000)) @ numpy.ones((2000, 2000))") == [None, True, 1]
+
+
+@_needs_threads
+def test_user_thread_count_is_kept():
+    assert _threads("import trigvee.wdvv", OPENBLAS_NUM_THREADS="2") == ["2", True, 2]
+
+
+def test_numpy_loaded_first_leaves_the_environment_alone():
+    assert _threads("import numpy, trigvee.wdvv")[:2] == [None, True]

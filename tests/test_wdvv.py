@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -172,6 +173,76 @@ def test_sample_points_match_per_draw_oracle(stem, cfg, points, seed):
     assert max(abs(p.min_sine - q.min_sine) for p, q in zip(got, want)) < 1e-12
     # the prefix screen changes no bit: the same block product, the same sines
     assert got == oracle_block_sample_points(cfg, points, seed)
+
+
+def _patch_guard(monkeypatch, guard):
+    """Set POLE_GUARD for ``sample_points`` and for the oracles of this module."""
+    import trigvee.wdvv as wdvv_mod
+
+    monkeypatch.setattr(wdvv_mod, "POLE_GUARD", guard)
+    monkeypatch.setitem(globals(), "POLE_GUARD", guard)
+
+
+# E8 with every covector scaled by 10^6: |a(x)| reaches about 10^7, where the
+# reduction of a(x) by multiples of pi rounds by about 10^-9
+_E8_BIG = configuration(
+    8, [[a * 10**6 for a in cov] for cov in _CONFIGS["E8"].covectors], _CONFIGS["E8"].multiplicities
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_screen_is_sound_on_large_covectors(monkeypatch, seed):
+    got = sample_points(_E8_BIG, 40, seed)
+    assert got == oracle_block_sample_points(_E8_BIG, 40, seed)
+    assert [p.x for p in got] == [p.x for p in oracle_sample_points(_E8_BIG, 40, seed)]
+    # a guard equal to an accepted point's smallest sine puts that point on the
+    # boundary, where the screen keeps it only if its margin covers the rounding
+    for p in sorted(got, key=lambda q: q.min_sine)[:5]:
+        _patch_guard(monkeypatch, p.min_sine)
+        points = [q for q in got if q.min_sine >= p.min_sine].index(p) + 1
+        on_guard = sample_points(_E8_BIG, points, seed)
+        assert on_guard[-1] == p
+        assert on_guard == oracle_block_sample_points(_E8_BIG, points, seed)
+
+
+@pytest.mark.parametrize(
+    "guard,raised",
+    [(0.3, {False}), (0.57, {False, True}), (0.58, {False, True}), (0.6, {True}), (1.5, {True})],
+    ids=["common", "rare", "rarer", "none", "above-one"],
+)
+def test_acceptance_agrees_with_per_draw_oracle(monkeypatch, guard, raised):
+    # BC2 accepts every seed at 0.3, some within 1000 * points candidates at 0.57
+    # and 0.58, and none from 0.6 on; the blocks' sizes follow the acceptance rate
+    cfg = generate(family_spec("BC", 2, r=1, s=1, q=1))
+    _patch_guard(monkeypatch, guard)
+    outcomes = set()
+    for seed in range(8):
+        for points in (1, 2, 3):
+            try:
+                got = [p.x for p in sample_points(cfg, points, seed)]
+            except PoleTooCloseError:
+                got = None
+            try:
+                want = [p.x for p in oracle_sample_points(cfg, points, seed)]
+            except PoleTooCloseError:
+                want = None
+            assert got == want, (seed, points)
+            outcomes.add(got is None)
+    assert outcomes == raised
+
+
+def test_sample_points_memory_is_bounded():
+    cfg = _CONFIGS["E8"]
+    float_view(cfg)
+    tracemalloc.start()
+    try:
+        sample_points(cfg, 2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2000 points themselves take about 0.8 MB; blocks of 2000 candidates,
+    # the earlier rule, peaked near 5 MB
+    assert peak < 3e6
 
 
 @pytest.mark.parametrize("stem,cfg,points", _INPUTS, ids=[i[0] for i in _INPUTS])
