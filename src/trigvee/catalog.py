@@ -30,12 +30,12 @@ from operator import mul, sub
 
 from .configuration import (
     Configuration,
+    _positive_view,
     auto_functional,
     collinear_classes,
     duals,  # unused here; perfbench/tracer.py wraps trigvee.catalog.duals
     lattice,
     line_key,
-    normalize_positive,
     pairings,
 )
 from .exactla import nullspace_cleared
@@ -51,10 +51,11 @@ def pairing_profile(cfg: Configuration) -> tuple:
     """Intrinsic invariants of a configuration under linear equivalence.
 
     The configuration is first normalized to a positive system (merging
-    opposite covectors, which leaves all vee-data unchanged); the profile
-    collects the multiset of (multiplicity, a(a-vee)) diagonal data and the
-    multiset of unordered pair data (multiplicities, |a(b-vee)|).  Invariant
-    under any invertible change of coordinates and per-covector sign flips.
+    opposite covectors, which leaves all vee-data unchanged), the memoised
+    view that ``g2`` also uses; the profile collects the multiset of
+    (multiplicity, a(a-vee)) diagonal data and the multiset of unordered
+    pair data (multiplicities, |a(b-vee)|).  Invariant under any invertible
+    change of coordinates and per-covector sign flips.
 
     Sorted and counted on the cleared integers of ``lattice`` and
     ``pairings``, whose order is that of the fractions; each distinct value
@@ -64,7 +65,7 @@ def pairing_profile(cfg: Configuration) -> tuple:
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        cfg = normalize_positive(cfg)
+        cfg = _positive_view(cfg)
     _, _, mults, mult_den = lattice(cfg)
     pm, den = pairings(cfg)
     diag = sorted(zip(mults, (row[i] for i, row in enumerate(pm))))

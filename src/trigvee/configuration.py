@@ -105,6 +105,34 @@ def lattice(cfg: Configuration) -> Lattice:
     return Lattice(covs, den, mults, mult_den)
 
 
+class Packed(NamedTuple):
+    rows: list[int]  # each ``lattice`` covector as one int, first coordinate most significant
+    width: int  # bits per signed field
+
+
+@memo
+def packed(cfg: Configuration) -> Packed:
+    """The integer covectors of ``lattice``, each packed into one int.
+
+    Row a packs to the sum of a[k] * 2^(w*(dim-1-k)), so packing is linear:
+    an integer combination of rows packs to the same combination of their
+    ints.  With m the largest |entry| and w = (4*m^2).bit_length(), every
+    combination rho = a_p*g - g_p*a of two rows has |rho_k| <= 2*m^2 <
+    2^(w-1), so its int decodes uniquely: it is zero iff rho is, it has the
+    sign of rho's first nonzero coordinate, and equal rhos have equal ints.
+    """
+    covs = lattice(cfg).covectors
+    m = max((abs(x) for a in covs for x in a), default=1)
+    width = (4 * m * m).bit_length()
+    rows = []
+    for a in covs:
+        v = 0
+        for x in a:
+            v = (v << width) + x
+        rows.append(v)
+    return Packed(rows, width)
+
+
 @memo
 def gram(cfg: Configuration) -> Mat:
     """The weighted Gram form: sum of c_a * (a (x) a) as an N x N matrix."""
@@ -142,8 +170,11 @@ def pairings(cfg: Configuration) -> tuple[list[list[int]], int]:
     """(P, D): the intrinsic pairings a_i(a_j-vee) = P[i][j] / D, P symmetric."""
     lat = lattice(cfg)
     gi, gi_den = gram_inverse_cleared(cfg)
-    dv = [[sum(map(mul, row, a)) for row in gi] for a in lat.covectors]
-    return [[sum(map(mul, a, b)) for b in dv] for a in lat.covectors], lat.denominator**2 * gi_den
+    covs = lat.covectors
+    dv = [[sum(map(mul, row, a)) for row in gi] for a in covs]
+    upper = [[sum(map(mul, a, b)) for b in dv[i:]] for i, a in enumerate(covs)]  # j >= i
+    pm = [[upper[j][i - j] for j in range(i)] + row for i, row in enumerate(upper)]
+    return pm, lat.denominator**2 * gi_den
 
 
 @dataclass(frozen=True)
@@ -258,6 +289,17 @@ def normalize_positive(cfg: Configuration, functional: Iterable | None = None) -
     if (covs, mults) == (cfg.covectors, cfg.multiplicities):
         return cfg
     return Configuration(cfg.dim, covs, mults, cfg.name)
+
+
+def _positive_view(cfg: Configuration) -> Configuration:
+    """normalize_positive(cfg), computed once and kept on cfg like a memo,
+    except when it is cfg itself: that would be a reference cycle."""
+    memos = cfg.__dict__
+    if "_memo__positive_view" not in memos:
+        pos = normalize_positive(cfg)
+        memos["_memo__positive_view"] = None if pos is cfg else pos
+    pos = memos["_memo__positive_view"]
+    return cfg if pos is None else pos
 
 
 def apply_matrix(cfg: Configuration, u: Mat) -> Configuration:

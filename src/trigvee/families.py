@@ -9,7 +9,8 @@ Sum-zero families (A and G2) are re-expressed in an explicit rank-dimensional
 basis of the sum-zero hyperplane so the Gram form is nonsingular; the basis is
 recorded in the configuration name.  The E series lives in the even
 half-integer lattice realization; everything else uses standard coordinates.
-Covectors whose multiplicity is exactly zero are dropped.
+Covectors whose multiplicity is exactly zero are dropped; parameters that
+drop every covector raise ``DegenerateParamsError``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class UnsupportedParamsError(ValueError):
 
 
 class DegenerateParamsError(ZeroDivisionError):
-    """Parameters hit a vanishing denominator of a closed form."""
+    """Parameters hit a vanishing denominator of a closed form, or make every
+    multiplicity of a family vanish."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,8 @@ class FamilySpec:
 def _cfg(dim, pairs, name) -> Configuration:
     pairs = [(tuple(map(rat, a)), rat(c)) for a, c in pairs]
     pairs = [(a, c) for a, c in pairs if c != 0]
+    if not pairs:
+        raise DegenerateParamsError("every multiplicity of %s vanishes, so no covector is left" % name)
     return Configuration(dim, tuple(a for a, _ in pairs), tuple(c for _, c in pairs), name)
 
 

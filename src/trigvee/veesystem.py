@@ -19,6 +19,7 @@ from operator import mul
 from .configuration import (
     Configuration,
     NoGenericFunctionalError,
+    _positive_view,
     class_weights,
     collinear_classes,
     duals,
@@ -26,7 +27,6 @@ from .configuration import (
     gram_inverse_cleared,
     lattice,
     memo,
-    normalize_positive,
     pairings,
 )
 from .exactla import (
@@ -90,6 +90,7 @@ def _g2_sum(cfg: Configuration, signs=None) -> Mat:
     integer view with one division per entry, and agrees entrywise with the
     literal sum (property-tested).  A single collinearity class has no
     nonzero wedge, so its form is zero without inverting the Gram form.
+    M is symmetric, so each entry is summed once, for k <= p <= r.
     A sign only changes the sign of its covector's term in the third moment;
     the Gram form and its inverse stay the same.
     """
@@ -99,19 +100,21 @@ def _g2_sum(cfg: Configuration, signs=None) -> Mat:
     lat = lattice(cfg)
     gi, gi_den = gram_inverse_cleared(cfg)
     weights = lat.multiplicities if signs is None else list(map(mul, signs, lat.multiplicities))
+    cols = list(zip(*lat.covectors))
     moments = [[0] * (n * n) for _ in range(n)]  # row k holds M[k][p][r] at p*n + r
-    for a, c in zip(lat.covectors, weights):
-        for k in range(n):
-            cak = c * a[k]
-            row = moments[k]
-            for p in range(n):
-                cakp = cak * a[p]
-                for r in range(n):
-                    row[p * n + r] += cakp * a[r]
-    gim = [[sum(map(mul, gi_row, col)) for col in zip(*moments)] for gi_row in gi]
+    for k in range(n):
+        ck = list(map(mul, weights, cols[k]))
+        for p in range(k, n):
+            ckp = list(map(mul, ck, cols[p]))
+            for r in range(p, n):
+                m = sum(map(mul, ckp, cols[r]))
+                for x, y, z in {(k, p, r), (k, r, p), (p, k, r), (p, r, k), (r, k, p), (r, p, k)}:
+                    moments[x][y * n + z] = m
+    mcols = list(zip(*moments))  # mcols[p*n + r][k] = M[k][p][r]
+    gcols = list(zip(*([sum(map(mul, gi_row, col)) for col in mcols] for gi_row in gi)))
 
     def t(p, r, q, s):
-        return sum(m[p * n + r] * g[q * n + s] for m, g in zip(moments, gim))
+        return sum(map(mul, mcols[p * n + r], gcols[q * n + s]))
 
     den = lat.mult_denominator**2 * lat.denominator**6 * gi_den
     pairs = wedge_pairs(n)
@@ -119,17 +122,6 @@ def _g2_sum(cfg: Configuration, signs=None) -> Mat:
         tuple(Fraction(8 * (t(p, r, q, s) - t(p, s, q, r)), den) for (r, s) in pairs)
         for (p, q) in pairs
     )
-
-
-def _positive_view(cfg: Configuration) -> Configuration:
-    """normalize_positive(cfg), computed once and kept on cfg like a memo,
-    except when it is cfg itself: that would be a reference cycle."""
-    memos = cfg.__dict__
-    if "_memo__positive_view" not in memos:
-        pos = normalize_positive(cfg)
-        memos["_memo__positive_view"] = None if pos is cfg else pos
-    pos = memos["_memo__positive_view"]
-    return cfg if pos is None else pos
 
 
 @memo
@@ -207,18 +199,23 @@ def vee_residuals(cfg: Configuration, alphas=None) -> tuple[SeriesResidual, ...]
     covector alpha, or only for the indices in alphas, in increasing order.
 
     Sums multiplicity * pairing * sign over each series in integers on the
-    configuration's integer view, with one division per series.
+    configuration's integer view, with one division per nonzero residual;
+    the zero residuals share one Fraction.
     """
     pm, den = pairings(cfg)
     lat = lattice(cfg)
     mults, den = lat.multiplicities, den * lat.mult_denominator
+    zero = Fraction(0)
     out = []
     for a in range(len(cfg)) if alphas is None else sorted(alphas):
-        row = pm[a]
+        weighted = list(map(mul, mults, pm[a]))
         for members, signs in series_with_signs(cfg, a):
-            total = sum(mults[b] * row[b] * signs[b] for b in members)
-            residual = Fraction(signs[members[0]] * total, den)
-            out.append(SeriesResidual(a, tuple(sorted(members)), residual))
+            if len(members) == 1:
+                total = weighted[members[0]]  # its sign times itself is 1
+            else:
+                total = signs[members[0]] * sum([weighted[b] * signs[b] for b in members])
+            residual = Fraction(total, den) if total else zero
+            out.append(SeriesResidual(a, tuple(members), residual))
     return tuple(out)
 
 

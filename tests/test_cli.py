@@ -407,3 +407,23 @@ def test_zero_denominator_names_its_source(tmp_path, capsys):
     assert run(capsys, "gamma", "--family", "F4", "--p", "1", "--q", "x") == (
         2, "", "error: --q expects a rational number, got 'x'\n"
     )
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--family", "E8", "--param", "t=0"],
+    ["catalog", "--family", "E8", "--param", "t=0", "--max-corank", "1"],
+    ["gen", "--family", "G2", "--param", "p=0", "--param", "q=0"],
+])
+def test_params_that_drop_every_covector_exit_2(command, capsys):
+    code, out, err = run(capsys, *command)
+    family = command[2]
+    assert code == 2 and out == ""
+    assert err.startswith("error: every multiplicity of %s(" % family)
+    assert err.endswith(" vanishes, so no covector is left\n")
+
+
+def test_partial_zero_multiplicity_still_generates(capsys):
+    code, out, _ = run(capsys, "gen", "--family", "BC", "--rank", "3",
+                       "--param", "r=1", "--param", "s=1", "--param", "q=0")
+    cfg = from_json_dict(json.loads(out))
+    assert code == 0 and len(cfg) == 6  # e_i and 2e_i; the q-weighted e_i +- e_j drop out
