@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, NamedTuple
 
@@ -401,7 +400,6 @@ def restricted_family(spec: FamilySpec) -> Configuration:
     return fam.generate(*_args(fam, spec))
 
 
-@lru_cache(maxsize=None)
 def generate(spec: FamilySpec) -> Configuration:
     """Positive-half configuration of the requested family."""
     fam = _family(spec.family)

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .configuration import (
     Configuration,
@@ -23,7 +24,6 @@ from .configuration import (
     class_weights,
     collinear_classes,
     duals,
-    gram,
     gram_inverse_cleared,
     lattice,
     memo,
@@ -64,18 +64,25 @@ def g1(cfg: Configuration) -> Mat:
 
     Computed through the closed bilinear identity
     G1(u1^v1, u2^v2) = 8*(G(u1,u2)G(v1,v2) - G(u1,v2)G(u2,v1)),
-    which agrees entrywise with the literal double sum over the
+    on the Gram form of the integer view, with one division per entry;
+    it agrees entrywise with the literal double sum over the
     configuration (property-tested).
     """
-    g = gram(cfg)
-    pairs = wedge_pairs(cfg.dim)
-    out = []
-    for (i, j) in pairs:
-        row = []
-        for (k, l) in pairs:
-            row.append(8 * (g[i][k] * g[j][l] - g[i][l] * g[j][k]))
-        out.append(tuple(row))
-    return tuple(out)
+    lat = lattice(cfg)
+    cols = list(zip(*lat.covectors)) or [()] * cfg.dim
+    g = [[sum(map(mul, lat.multiplicities, map(mul, a, b))) for b in cols] for a in cols]
+    den = (lat.mult_denominator * lat.denominator**2) ** 2
+    return _wedge_form(lambda p, r, q, s: g[p][r] * g[q][s], cfg.dim, den)
+
+
+def _wedge_form(t, n: int, den: int) -> Mat:
+    """The form on Lambda^2 V with entries 8*(t(p,r,q,s) - t(p,s,q,r)) / den at
+    (e_p ^ e_q, e_r ^ e_s), for an integer t symmetric in its two pairs."""
+    pairs = wedge_pairs(n)
+    return tuple(
+        tuple(Fraction(8 * (t(p, r, q, s) - t(p, s, q, r)), den) for (r, s) in pairs)
+        for (p, q) in pairs
+    )
 
 
 def _g2_sum(cfg: Configuration, signs=None) -> Mat:
@@ -116,12 +123,7 @@ def _g2_sum(cfg: Configuration, signs=None) -> Mat:
     def t(p, r, q, s):
         return sum(map(mul, mcols[p * n + r], gcols[q * n + s]))
 
-    den = lat.mult_denominator**2 * lat.denominator**6 * gi_den
-    pairs = wedge_pairs(n)
-    return tuple(
-        tuple(Fraction(8 * (t(p, r, q, s) - t(p, s, q, r)), den) for (r, s) in pairs)
-        for (p, q) in pairs
-    )
+    return _wedge_form(t, n, lat.mult_denominator**2 * lat.denominator**6 * gi_den)
 
 
 @memo
@@ -154,8 +156,7 @@ def lambda_sq(cfg: Configuration) -> Fraction:
 # --- the vee-condition report ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesResidual:
+class SeriesResidual(NamedTuple):
     alpha: int
     members: tuple[int, ...]
     residual: Fraction

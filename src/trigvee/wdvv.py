@@ -6,9 +6,10 @@ tangent-space product at seeded random sample points, and reports scaled
 residuals.  Only the cotangent is ever evaluated; the prepotential itself is
 never needed.  All of it runs on float64 copies of the exact data (``float_view``).
 
-Each float quantity is computed on whole arrays: candidate points in blocks,
-and the residuals on stacks of sample points, in chunks of ``CHUNK_CELLS``
-cells, the trig third derivatives of a chunk as one product with ``float_cubes``.
+Each float quantity is computed on whole arrays: candidate points are screened
+in blocks, the accepted points are one read-only (points, N) array, and the
+residuals run on row slices of it, in chunks of ``CHUNK_CELLS`` cells, the
+trig third derivatives of a chunk as one product with ``float_cubes``.
 
 The largest matrix product is a chunk's, too small to gain from BLAS threads,
 so numpy is loaded with a one-thread OpenBLAS pool unless numpy is loaded
@@ -43,12 +44,6 @@ class PoleTooCloseError(ValueError):
 
 class SingularBaseFormError(ValueError):
     """The constant matrix of the y-derivatives is numerically singular."""
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    x: tuple[float, ...]
-    min_sine: float
 
 
 @dataclass(frozen=True)
@@ -116,8 +111,9 @@ def float_cubes(cfg: Configuration) -> np.ndarray:
     return floats(np.einsum("a,ai,ap,aq->aipq", c, av, av, av).reshape(len(cfg), cfg.dim**3))
 
 
-def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoint]:
-    """Seeded points with min over covectors of |sin a(x)| above the pole guard.
+def sample_points(cfg: Configuration, points: int, seed: int) -> np.ndarray:
+    """Seeded points with min over covectors of |sin a(x)| above the pole guard,
+    as the rows of a read-only (points, N) float64 array, in acceptance order.
 
     Draws at most 1000 * ``points`` candidates, in blocks sized from the
     acceptance rate so far, of at least two rows and about 2 * ``CHUNK_CELLS``
@@ -137,11 +133,11 @@ def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoin
     # |v - k pi| is computed within eps * (|v| + pi), and |v| = |a(x)| <= 2 |a|_1 on
     # the box; the factor 8 also covers the few ulps of the sine and of the arcsine
     margin = 8 * np.finfo(float).eps * (2.0 * np.abs(avt).sum(axis=0).max(initial=0.0) + 4.0)
-    out: list[SamplePoint] = []
-    drawn, limit = 0, 1000 * points
+    out = np.empty((points, cfg.dim))
+    found, drawn, limit = 0, 0, 1000 * points
     while drawn < limit:
-        need = points - len(out)
-        rows = min(max_rows, limit - drawn, max(2, -(-need * (drawn + 1) // (len(out) + 1))))
+        need = points - found
+        rows = min(max_rows, limit - drawn, max(2, -(-need * (drawn + 1) // (found + 1))))
         # a one-row product would be a matrix-vector product, which may round
         # differently; one row is left only for the last candidate, so the spare
         # row drawn then shifts no later block
@@ -155,10 +151,11 @@ def sample_points(cfg: Configuration, points: int, seed: int) -> list[SamplePoin
         np.subtract(vals, red, out=red)
         np.abs(red, out=red)
         keep = red.min(axis=1, initial=np.pi) >= guard_angle - margin
-        xs, ms = xs[keep], np.abs(np.sin(vals[keep])).min(axis=1, initial=1.0)
-        for i in np.flatnonzero(ms >= POLE_GUARD)[:need]:
-            out.append(SamplePoint(tuple(xs[i]), float(ms[i])))
-        if len(out) == points:
+        xs = xs[keep][np.abs(np.sin(vals[keep])).min(axis=1, initial=1.0) >= POLE_GUARD][:need]
+        out[found : found + len(xs)] = xs
+        found += len(xs)
+        if found == points:
+            out.flags.writeable = False
             return out
     raise PoleTooCloseError("could not find enough pole-free sample points")
 
@@ -172,15 +169,15 @@ def base_form(cfg: Configuration) -> np.ndarray:
     return f
 
 
-def _chunks(pts: list[SamplePoint], cells: int):
-    """The points as (P, N) arrays of at most CHUNK_CELLS // cells rows (at least one)."""
+def _chunks(pts: np.ndarray, cells: int):
+    """The points as (P, N) row slices of at most CHUNK_CELLS // cells rows (at least one)."""
     step = max(1, CHUNK_CELLS // cells)
-    return (np.array([p.x for p in pts[i : i + step]]) for i in range(0, len(pts), step))
+    return (pts[i : i + step] for i in range(0, len(pts), step))
 
 
 def _cot(cfg: Configuration, pt) -> np.ndarray:
     """cot a(x), covectors on the last axis, at a point or each row of a (P, N) array."""
-    vals = np.asarray(getattr(pt, "x", pt)) @ float_view(cfg).covectors.T
+    vals = np.asarray(pt) @ float_view(cfg).covectors.T
     s = np.sin(vals)
     if s.size and float(np.min(np.abs(s))) < POLE_GUARD:
         raise PoleTooCloseError("sample point violates the pole guard")
@@ -204,7 +201,7 @@ def third_derivs(cfg: Configuration, lam, pt) -> np.ndarray:
     return f
 
 
-def _commutator_residual(cfg: Configuration, lam, pts: list[SamplePoint]) -> float:
+def _commutator_residual(cfg: Configuration, lam, pts: np.ndarray) -> float:
     """Max scaled commutator residual of F_i F_{N+1}^{-1} F_j over the points."""
     base = base_form(cfg)
     if np.linalg.cond(base) > 1e12:

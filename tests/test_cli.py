@@ -312,6 +312,15 @@ def test_wdvv_out_of_memory_exit_2(monkeypatch, error, message, capsys):
     assert (code, out, err) == (2, "", message)
 
 
+def test_wdvv_samples_beyond_memory_exit_2_at_once(capsys):
+    # the points are allocated as one array before any draw: 10^17 F4 points
+    # ask for 3.2e18 bytes, which no address space holds
+    f4 = os.path.join(_INPUTS, "F4.json")
+    code, out, err = run(capsys, "wdvv", f4, "--samples", str(10**17))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: Unable to allocate")
+
+
 def test_check_without_probe_reports_not_probed(capsys):
     f4 = os.path.join(_INPUTS, "F4.json")
     code, out, err = run(capsys, "check", f4, "--probe-flips", "0")

@@ -242,7 +242,7 @@ def test_restriction_tangency():
             v = rng.uniform(-1, 1, n + 1)
             got = product(child, lam, pt, u, v)
             # parent limit formula at x = B xi with the projected duals
-            x = bmat @ np.asarray(pt.x)
+            x = bmat @ pt
             uu, vv = bmat @ u[:n], bmat @ v[:n]
             out_v = np.zeros(cfg.dim, dtype=complex)
             out_e = 0.0

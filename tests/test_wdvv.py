@@ -16,7 +16,6 @@ from trigvee.veesystem import lambda_sq
 from trigvee.wdvv import (
     POLE_GUARD,
     PoleTooCloseError,
-    SamplePoint,
     _commutator_residual,
     _cot,
     _lambda_from_sq,
@@ -38,34 +37,37 @@ _PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def oracle_sample_points(cfg, points, seed):
-    """One candidate per draw, tested on its own."""
+    """One candidate per draw, tested on its own: the (points, N) array of the
+    accepted points and the array of their smallest |sin a(x)|."""
     rng = np.random.default_rng(seed)
     av = float_view(cfg).covectors
-    out = []
+    xs, sines = [], []
     tries = 0
-    while len(out) < points:
+    while len(xs) < points:
         tries += 1
         if tries > 1000 * points:
             raise PoleTooCloseError("could not find enough pole-free sample points")
         x = rng.uniform(-2.0, 2.0, cfg.dim)
         ms = float(np.min(np.abs(np.sin(av @ x)))) if len(cfg) else 1.0
         if ms >= POLE_GUARD:
-            out.append(SamplePoint(tuple(x), ms))
-    return out
+            xs.append(x)
+            sines.append(ms)
+    return np.array(xs), np.array(sines)
 
 
 def oracle_block_sample_points(cfg, points, seed):
-    """Blocks of ``points`` candidates, each tested on every covector at once."""
+    """Blocks of ``points`` candidates, each tested on every covector at once:
+    the accepted points and their smallest |sin a(x)|, as ``oracle_sample_points``."""
     rng = np.random.default_rng(seed)
     av = float_view(cfg).covectors
-    out = []
+    xs, sines = np.empty((0, cfg.dim)), np.empty(0)
     for _ in range(1000):
-        xs = rng.uniform(-2.0, 2.0, (points, cfg.dim))
-        ms = np.abs(np.sin(xs @ av.T)).min(axis=1, initial=1.0)
-        for i in np.flatnonzero(ms >= POLE_GUARD)[: points - len(out)]:
-            out.append(SamplePoint(tuple(xs[i]), float(ms[i])))
-        if len(out) == points:
-            return out
+        block = rng.uniform(-2.0, 2.0, (points, cfg.dim))
+        ms = np.abs(np.sin(block @ av.T)).min(axis=1, initial=1.0)
+        keep = np.flatnonzero(ms >= POLE_GUARD)[: points - len(xs)]
+        xs, sines = np.concatenate([xs, block[keep]]), np.concatenate([sines, ms[keep]])
+        if len(xs) == points:
+            return xs, sines
     raise PoleTooCloseError("could not find enough pole-free sample points")
 
 
@@ -168,11 +170,11 @@ _CONFIGS = {stem: cfg for stem, cfg, _ in _INPUTS}
 @pytest.mark.parametrize("stem,cfg,points", _INPUTS, ids=[i[0] for i in _INPUTS])
 def test_sample_points_match_per_draw_oracle(stem, cfg, points, seed):
     got = sample_points(cfg, points, seed)
-    want = oracle_sample_points(cfg, points, seed)
-    assert [p.x for p in got] == [p.x for p in want]
-    assert max(abs(p.min_sine - q.min_sine) for p, q in zip(got, want)) < 1e-12
-    # the prefix screen changes no bit: the same block product, the same sines
-    assert got == oracle_block_sample_points(cfg, points, seed)
+    assert got.dtype == np.float64 and got.shape == (points, cfg.dim)
+    assert not got.flags.writeable
+    assert got.tobytes() == oracle_sample_points(cfg, points, seed)[0].tobytes()
+    # the sine-free screen changes no bit: the same block product, the same sines
+    assert got.tobytes() == oracle_block_sample_points(cfg, points, seed)[0].tobytes()
 
 
 def _patch_guard(monkeypatch, guard):
@@ -193,16 +195,19 @@ _E8_BIG = configuration(
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_screen_is_sound_on_large_covectors(monkeypatch, seed):
     got = sample_points(_E8_BIG, 40, seed)
-    assert got == oracle_block_sample_points(_E8_BIG, 40, seed)
-    assert [p.x for p in got] == [p.x for p in oracle_sample_points(_E8_BIG, 40, seed)]
+    assert got.tobytes() == oracle_sample_points(_E8_BIG, 40, seed)[0].tobytes()
+    want, sines = oracle_block_sample_points(_E8_BIG, 40, seed)
+    assert got.tobytes() == want.tobytes()
     # a guard equal to an accepted point's smallest sine puts that point on the
-    # boundary, where the screen keeps it only if its margin covers the rounding
-    for p in sorted(got, key=lambda q: q.min_sine)[:5]:
-        _patch_guard(monkeypatch, p.min_sine)
-        points = [q for q in got if q.min_sine >= p.min_sine].index(p) + 1
+    # boundary, where the screen keeps it only if its margin covers the rounding;
+    # the sines are the block oracle's, since at |a(x)| near 10^7 the per-draw
+    # matrix-vector product rounds a(x) differently from the sampler's block product
+    for i in np.argsort(sines, kind="stable")[:5]:
+        _patch_guard(monkeypatch, float(sines[i]))
+        points = int(np.count_nonzero(sines[: i + 1] >= sines[i]))
         on_guard = sample_points(_E8_BIG, points, seed)
-        assert on_guard[-1] == p
-        assert on_guard == oracle_block_sample_points(_E8_BIG, points, seed)
+        assert on_guard[-1].tobytes() == got[i].tobytes()
+        assert on_guard.tobytes() == oracle_block_sample_points(_E8_BIG, points, seed)[0].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -219,11 +224,11 @@ def test_acceptance_agrees_with_per_draw_oracle(monkeypatch, guard, raised):
     for seed in range(8):
         for points in (1, 2, 3):
             try:
-                got = [p.x for p in sample_points(cfg, points, seed)]
+                got = sample_points(cfg, points, seed).tobytes()
             except PoleTooCloseError:
                 got = None
             try:
-                want = [p.x for p in oracle_sample_points(cfg, points, seed)]
+                want = oracle_sample_points(cfg, points, seed)[0].tobytes()
             except PoleTooCloseError:
                 want = None
             assert got == want, (seed, points)
@@ -243,6 +248,21 @@ def test_sample_points_memory_is_bounded():
     # the 2000 points themselves take about 0.8 MB; blocks of 2000 candidates,
     # the earlier rule, peaked near 5 MB
     assert peak < 3e6
+
+
+def test_sample_points_hold_one_array():
+    # 20,000 F4 points are 0.64 MB as one float64 array; as one record and one
+    # tuple of floats per point they held about 5.5 MB
+    cfg = _CONFIGS["F4"]
+    sample_points(cfg, 1, 1)  # the float view, and the modules the generator imports on first use
+    tracemalloc.start()
+    try:
+        pts = sample_points(cfg, 20000, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6
+    assert pts.shape == (20000, cfg.dim)
 
 
 @pytest.mark.parametrize("stem,cfg,points", _INPUTS, ids=[i[0] for i in _INPUTS])
@@ -282,7 +302,7 @@ def test_pole_in_the_middle_of_a_chunk_fails_both_residuals(monkeypatch):
     cfg = generate(family_spec("BC", 3, r=1, s=1, q=1))
     lam_sq = lambda_sq(cfg)
     good = sample_points(cfg, 6, 3)
-    pts = good[:3] + [SamplePoint((1e-9,) * cfg.dim, 1e-9)] + good[3:]
+    pts = np.insert(good, 3, 1e-9, axis=0)
     with pytest.raises(PoleTooCloseError):
         _commutator_residual(cfg, _lambda_from_sq(lam_sq), pts)
     monkeypatch.setattr(wdvv_mod, "sample_points", lambda cfg, points, seed: pts)
@@ -331,12 +351,11 @@ def test_third_derivs_match_per_matrix_oracle():
 def test_third_derivs_of_one_point_is_its_row_of_a_chunk():
     cfg = generate(family_spec("BC", 3, r=1, s=Q(1, 2), q=2))
     assert not float_cubes(cfg).flags.writeable
-    pts = sample_points(cfg, 5, 4)
-    xs = np.array([p.x for p in pts])
+    xs = sample_points(cfg, 5, 4)
     for lam in (_lambda_from_sq(lambda_sq(cfg)), _lambda_from_sq(-2)):
         stack = third_derivs(cfg, lam, xs)
-        assert stack.shape == (len(pts),) + (cfg.dim + 1,) * 3
-        for pt, row in zip(pts, stack):
+        assert stack.shape == (len(xs),) + (cfg.dim + 1,) * 3
+        for pt, row in zip(xs, stack):
             # one point is a vector-matrix product, a chunk a matrix product: equal to rounding
             one = third_derivs(cfg, lam, pt)
             assert one.dtype == row.dtype
@@ -357,7 +376,7 @@ def trig_second_derivs(cfg, lam, x):
 def test_third_derivs_single_covector_hand_expansion():
     c = 3.0
     cfg = configuration(1, [[1]], [3])
-    pt = SamplePoint((0.7,), abs(math.sin(0.7)))
+    pt = np.array([0.7])
     lam = 2.0
     f1, f2 = third_derivs(cfg, complex(lam), pt)
     cot = math.cos(0.7) / math.sin(0.7)
@@ -385,9 +404,8 @@ def test_finite_difference_validates_trig_derivatives():
     rng = np.random.default_rng(3)
     pts = sample_points(cfg, 5, 9)
     h = 1e-6
-    for pt in pts:
-        x = np.array(pt.x)
-        mats = third_derivs(cfg, complex(lam), pt)
+    for x in pts:
+        mats = third_derivs(cfg, complex(lam), x)
         for i in range(cfg.dim):
             e = np.zeros(cfg.dim)
             e[i] = h
@@ -439,7 +457,7 @@ def test_product_single_covector_formula():
     (pt,) = sample_points(cfg, 1, 2)
     a = np.array([1.0, 0.0])
     out = product(cfg, complex(lam), pt, a, a)
-    cot = math.cos(pt.x[0]) / math.sin(pt.x[0])
+    cot = math.cos(pt[0]) / math.sin(pt[0])
     # alpha-vee = e_1 / c, so the V-part is (lam/2) cot(x); the E part is c
     assert abs(out[0] - lam / 2 * cot) < 1e-12
     assert abs(out[1] - c) < 1e-12
@@ -456,7 +474,7 @@ def test_product_with_zero_vector_vanishes():
 
 def test_all_zero_multiplicities_matrices():
     cfg = configuration(2, [[1, 0], [0, 1]], [0, 0])
-    pt = SamplePoint((0.4, 0.9), 1.0)
+    pt = np.array([0.4, 0.9])
     mats = third_derivs(cfg, complex(1.0), pt)
     assert np.allclose(mats[0], 0) and np.allclose(mats[1], 0)
     assert np.allclose(mats[2], np.diag([0.0, 0.0, 2.0]))
@@ -521,7 +539,7 @@ def test_negative_lambda_sq_uses_principal_complex_root():
 
 def test_pole_guard():
     cfg = configuration(1, [[1]], [1])
-    pt = SamplePoint((1e-9,), abs(math.sin(1e-9)))
+    pt = np.array([1e-9])
     with pytest.raises(PoleTooCloseError):
         third_derivs(cfg, complex(1.0), pt)
     with pytest.raises(PoleTooCloseError):
@@ -532,8 +550,10 @@ def test_sample_points_seeded_and_guarded():
     cfg = generate(family_spec("BC", 2, r=1, s=1, q=1))
     p1 = sample_points(cfg, 6, 42)
     p2 = sample_points(cfg, 6, 42)
-    assert [p.x for p in p1] == [p.x for p in p2]
-    assert all(p.min_sine >= 1 / 20 for p in p1)
+    assert p1.tobytes() == p2.tobytes()
+    want, sines = oracle_sample_points(cfg, 6, 42)
+    assert p1.tobytes() == want.tobytes()
+    assert np.all(sines >= 1 / 20)
 
 
 @pytest.mark.parametrize("points", [0, -1])
