@@ -5,23 +5,22 @@ Flats (subsets of the form configuration-intersect-span) are enumerated
 exactly on the integer view, level by level, by extending one representative
 flat per orbit of the configuration's simple reflections by one line of its
 quotient at a time, from one annihilator basis in Python integers per
-representative.  No orbit is listed: a pure-Python stabiliser-chain core
-(Schreier-Sims and a backtrack over the chain) decides whether a flat lies
-in a known orbit, and the class size is |G| / |Stab|.  Each class
-representative is restricted exactly, and its child is re-verified exactly:
-the vee-condition at one alpha per orbit of the child's own reflecting
-symmetries (``alpha_orbits``), which decides it at every alpha because a
-symmetry keeps each series residual up to sign.  Entries are merged
-by ``canonical_digest``, which keys on intrinsic invariants of the
-restriction and is the one heuristic left: full linear-equivalence testing
-is out of scope.
+representative.  No orbit is listed: the stabiliser chains of ``permgroup``
+decide whether a flat lies in a known orbit, and the class size is
+|G| / |Stab|.  Each class representative is restricted exactly, and its
+child is re-verified exactly: the vee-condition at one alpha per orbit of
+the child's own reflecting symmetries (``alpha_orbits``), which decides it
+at every alpha because a symmetry keeps each series residual up to sign.
+Entries are merged by ``canonical_digest``, which keys on intrinsic
+invariants of the restriction and is the one heuristic left: full
+linear-equivalence testing is out of scope.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import random
+import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,6 +29,7 @@ from operator import mul, sub
 
 from .configuration import (
     Configuration,
+    ZeroMultiplicityWarning,
     _positive_view,
     auto_functional,
     collinear_classes,
@@ -39,6 +39,7 @@ from .configuration import (
     pairings,
 )
 from .exactla import nullspace_cleared
+from .permgroup import Chain, images, rebase, schreier_sims
 from .restriction import restrict
 from .veesystem import lambda_sq, subsystem, vee_residuals
 
@@ -61,11 +62,7 @@ def pairing_profile(cfg: Configuration) -> tuple:
     ``pairings``, whose order is that of the fractions; each distinct value
     becomes one Fraction at the end.
     """
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        cfg = _positive_view(cfg)
+    cfg = _positive_view(cfg)
     _, _, mults, mult_den = lattice(cfg)
     pm, den = pairings(cfg)
     diag = sorted(zip(mults, (row[i] for i, row in enumerate(pm))))
@@ -109,13 +106,13 @@ def enumerate_flat_classes(cfg: Configuration, max_corank: int) -> list[FlatClas
     a walk that extends every flat.  Classes come out level by level,
     ordered by representative.
 
-    No orbit is listed.  G gets one stabiliser chain (``_schreier_sims``),
+    No orbit is listed.  G gets one stabiliser chain (``schreier_sims``),
     each class one more whose base starts with the class's ``_Flat.key``
-    anchors (``_rebase``), and ``class_size`` is |G| / |Stab| (``_Flat``).
+    anchors (``rebase``), and ``class_size`` is |G| / |Stab| (``_Flat``).
     A child lies in a class's orbit exactly when some g maps the class's key
     anchors into the child's ``_Flat.target``, which a backtrack over the
-    class's chain decides (``_images``).  Without reflection symmetries,
-    every flat is a class of its own.
+    class's chain decides (``images``; all three are in ``permgroup``).
+    Without reflection symmetries, every flat is a class of its own.
     """
     if not 0 <= max_corank < cfg.dim:
         raise ValueError("max_corank must lie in [0, dim)")
@@ -270,7 +267,7 @@ class _Walk:
         self.symmetries, self.flips = _reflections(cfg)
         self.reflecting = frozenset(self.symmetries)
         gens = [tuple(self.symmetries[b][0]) for b in _simple(self.flips, self.reflecting)]
-        self.chain = _schreier_sims(gens, self.n)
+        self.chain = schreier_sims(gens, self.n)
         self.order = self.chain.order()
         classes = collinear_classes(cfg)
         self.anchors = [cls.anchor for cls in classes]
@@ -278,7 +275,6 @@ class _Walk:
         for cls in classes:
             for i in cls.indices:
                 self.anchor_of[i] = cls.anchor
-        self.rng = random.Random(0)  # the chains are certified, so the draws never matter
 
 
 class _Flat:
@@ -316,8 +312,8 @@ class _Flat:
         return [i for i in sorted(self.members) if not spanned or self.walk.anchor_of[i] in lines]
 
     @cached_property
-    def chain(self) -> _Chain:
-        return _rebase(self.walk.chain, self.key[0], self.walk.rng)
+    def chain(self) -> Chain:
+        return rebase(self.walk.chain, self.key[0])
 
     def holds(self, other: _Flat) -> bool:
         """Whether other lies in this representative's orbit."""
@@ -327,7 +323,7 @@ class _Flat:
             return True
         if other.key[1] != self.key[1]:
             return False
-        return _images(self.chain, len(self.span), other.target, first=True) > 0
+        return images(self.chain, len(self.span), other.target, first=True) > 0
 
     def stabiliser_order(self) -> int:
         """|Stab_G(F)|.  Without a simple system, the images of the span that
@@ -339,166 +335,14 @@ class _Flat:
         images of S.  (W_F is also the pointwise stabiliser of F's kernel, by
         Steinberg's theorem, 1964.)  W_F acts here on F's members only."""
         k, (key, spanned) = len(self.span), self.key
-        stab = _images(self.chain, k, self.target) * self.chain.order(k)
+        stab = images(self.chain, k, self.target) * self.chain.order(k)
         if not spanned:
             return stab
         local = {m: j for j, m in enumerate(sorted(self.members))}
         gens = [tuple(local[self.walk.symmetries[b][0][m]] for m in local) for b in key]
-        w = _schreier_sims(gens, len(local), [local[b] for b in key])
-        w_stab = _images(w, k, [local[i] for i in self.target]) * w.order(k)
+        w = schreier_sims(gens, len(local), [local[b] for b in key])
+        w_stab = images(w, k, [local[i] for i in self.target]) * w.order(k)
         return w.order() // w_stab * stab
-
-
-# Permutations are tuples of point images; _mul(p, q) applies q, then p.
-
-
-def _mul(p: tuple, q: tuple) -> tuple:
-    return tuple(map(p.__getitem__, q))
-
-
-def _inverse(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-class _Chain:
-    """A stabiliser chain (Seress, Permutation Group Algorithms, 2003, 4.1):
-    base points b_0, b_1, ..., and for each level i the strong generators
-    fixing b_0 .. b_{i-1}, as (g, g^-1) pairs, and the transversal of b_i's
-    basic orbit under them, {y: (u, u^-1)} with u(b_i) = y."""
-
-    def __init__(self, base, n: int):
-        self.ident = tuple(range(n))
-        self.base, self.gens, self.trans = [], [], []
-        for b in base:
-            self.add_level(b)
-
-    def add_level(self, b: int) -> None:
-        self.base.append(b)
-        self.gens.append([])
-        self.trans.append({b: (self.ident, self.ident)})
-
-    def order(self, start: int = 0) -> int:
-        """The product of the basic orbit lengths from level start on."""
-        out = 1
-        for t in self.trans[start:]:
-            out *= len(t)
-        return out
-
-    def sift(self, g: tuple, start: int = 0) -> tuple[tuple, int]:
-        """Strip g level by level from start; returns what is left and the
-        level where it left the basic orbit (the number of levels if none)."""
-        for i in range(start, len(self.base)):
-            y = g[self.base[i]]
-            if y != self.base[i]:
-                t = self.trans[i].get(y)
-                if t is None:
-                    return g, i
-                g = _mul(t[1], g)
-        return g, len(self.base)
-
-    def add_generator(self, h: tuple, levels) -> None:
-        """Add h to the strong generators of the given levels, each of whose
-        base points before it h fixes, and grow their basic orbits."""
-        if h != self.ident and all(h[b] == b for b in self.base):
-            self.add_level(next(p for p, x in enumerate(h) if x != p))
-            levels = [*levels, len(self.base) - 1]
-        pair = (h, _inverse(h))
-        for i in levels:
-            gens, trans = self.gens[i], self.trans[i]
-            gens.append(pair)
-            todo, old = list(trans), len(trans)
-            for k, y in enumerate(todo):
-                u, ui = trans[y]
-                # the old orbit is closed under the old generators
-                for s, si in (gens if k >= old else (pair,)):
-                    z = s[y]
-                    if z not in trans:
-                        trans[z] = (_mul(s, u), _mul(ui, si))
-                        todo.append(z)
-
-
-def _schreier_sims(gens, n: int, base=()) -> _Chain:
-    """The deterministic Schreier-Sims algorithm (Seress 4.2): a complete
-    chain of the group generated by gens, its base starting with ``base``.
-
-    Level by level from the bottom, every Schreier generator
-    u_{s(y)}^-1 s u_y of a level is sifted through the levels below it; one
-    that does not reduce to the identity joins those levels' generators, and
-    the check resumes at the deepest level it joined."""
-    chain = _Chain(base, n)
-    for g in gens:
-        if g != chain.ident:
-            j = next((i for i, b in enumerate(chain.base) if g[b] != b), len(chain.base) - 1)
-            chain.add_generator(g, range(j + 1))
-    i = len(chain.base) - 1
-    while i >= 0:
-        residue = _schreier_residue(chain, i)
-        if residue is None:
-            i -= 1
-            continue
-        h, j = residue
-        chain.add_generator(h, range(i + 1, min(j + 1, len(chain.base))))
-        i = min(j, len(chain.base) - 1)
-    return chain
-
-
-def _schreier_residue(chain: _Chain, i: int):
-    """A Schreier generator of level i that does not sift to the identity
-    through the levels below it, as (residue, level it stopped at), or None."""
-    trans = chain.trans[i]
-    for y, (u, _) in trans.items():
-        for s, _ in chain.gens[i]:
-            h, j = chain.sift(_mul(trans[s[y]][1], _mul(s, u)), i + 1)
-            if h != chain.ident:
-                return h, j
-    return None
-
-
-def _rebase(chain: _Chain, base, rng: random.Random) -> _Chain:
-    """A complete chain of chain's group whose base starts with ``base``:
-    a random Schreier-Sims (Seress 4.3) on uniformly random elements, one
-    transversal element per level of chain, until the product of the basic
-    orbit lengths reaches the group's order, which certifies it."""
-    order, new = chain.order(), _Chain(base, len(chain.ident))
-    inverses = [[ui for _, ui in t.values()] for t in chain.trans]
-    while new.order() < order:
-        g = chain.ident
-        for level in inverses:
-            g = _mul(rng.choice(level), g)
-        h, j = new.sift(g)
-        if h != new.ident:
-            new.add_generator(h, range(min(j + 1, len(new.base))))
-    return new
-
-
-def _images(chain: _Chain, k: int, target, first: bool = False) -> int:
-    """The number of tuples (g(b_0), ..., g(b_{k-1})) over g in the chain's
-    group with every entry in target; with first, 1 at the first such tuple.
-
-    Depth-first over the first k levels: below a prefix p of transversal
-    elements, the candidates at level i are p^-1(target) meet the basic
-    orbit, so only the preimages of the target are carried down.  The last
-    level is counted without descending."""
-    trans = chain.trans
-
-    def walk(i: int, pre: list[int]) -> int:
-        orbit = trans[i]
-        if i == k - 1:
-            return sum(y in orbit for y in pre)
-        total = 0
-        for y in pre:
-            t = orbit.get(y)
-            if t is not None:
-                ui = t[1]
-                total += walk(i + 1, [ui[x] for x in pre])
-                if first and total:
-                    return 1
-        return total
-
-    return walk(0, list(target))
 
 
 @dataclass(frozen=True)
@@ -573,43 +417,47 @@ def build_catalog(
         family, params, 0, (), len(cfg), 1, canonical_digest(cfg), parent_lam, len(cfg), cfg.dim
     )
     entries[root_entry.digest] = root_entry
-    for fc in flats:
-        where = "flat spanned by %s" % list(fc.span_indices)
-        handle = subsystem(cfg, fc.span_indices)
-        if len(handle.member_indices) != fc.n_members:
-            raise CatalogError(
-                "%s: the walk counts %d members, the exact span closure %d"
-                % (where, fc.n_members, len(handle.member_indices))
-            )
-        child = restrict(cfg, handle).child
-        reps = [orbit[0] for orbit in alpha_orbits(child)]
-        if any(r.residual for r in vee_residuals(child, reps)):
-            bad = [r for r in vee_residuals(child) if r.residual != 0]
-            raise CatalogError(
-                "%s: the restricted child fails the vee-condition at %d series, "
-                "first alpha %d, series %s, residual %s"
-                % (where, len(bad), bad[0].alpha, list(bad[0].members), bad[0].residual)
-            )
-        if child.dim >= 2:
-            child_lam = lambda_sq(child)
-            if child_lam != parent_lam:
+    # children with cancelling covector pairs are built here, not given, so
+    # the warning that their positive views drop them would name nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroMultiplicityWarning)
+        for fc in flats:
+            where = "flat spanned by %s" % list(fc.span_indices)
+            handle = subsystem(cfg, fc.span_indices)
+            if len(handle.member_indices) != fc.n_members:
                 raise CatalogError(
-                    "%s: the child's lambda^2 is %s, the parent's %s"
-                    % (where, child_lam, parent_lam)
+                    "%s: the walk counts %d members, the exact span closure %d"
+                    % (where, fc.n_members, len(handle.member_indices))
                 )
-            verified = True
-        else:
-            child_lam = parent_lam
-            verified = False
-        digest = canonical_digest(child)
-        if digest in entries:  # child_lam is parent_lam, as is the old entry's
-            old = entries[digest]
-            entries[digest] = replace(old, class_size=old.class_size + fc.class_size)
-        else:
-            entries[digest] = CatalogEntry(
-                family, params, fc.corank, fc.span_indices, len(handle.member_indices),
-                fc.class_size, digest, child_lam, len(child), child.dim, verified,
-            )
+            child = restrict(cfg, handle).child
+            reps = [orbit[0] for orbit in alpha_orbits(child)]
+            if any(r.residual for r in vee_residuals(child, reps)):
+                bad = [r for r in vee_residuals(child) if r.residual != 0]
+                raise CatalogError(
+                    "%s: the restricted child fails the vee-condition at %d series, "
+                    "first alpha %d, series %s, residual %s"
+                    % (where, len(bad), bad[0].alpha, list(bad[0].members), bad[0].residual)
+                )
+            if child.dim >= 2:
+                child_lam = lambda_sq(child)
+                if child_lam != parent_lam:
+                    raise CatalogError(
+                        "%s: the child's lambda^2 is %s, the parent's %s"
+                        % (where, child_lam, parent_lam)
+                    )
+                verified = True
+            else:
+                child_lam = parent_lam
+                verified = False
+            digest = canonical_digest(child)
+            if digest in entries:  # child_lam is parent_lam, as is the old entry's
+                old = entries[digest]
+                entries[digest] = replace(old, class_size=old.class_size + fc.class_size)
+            else:
+                entries[digest] = CatalogEntry(
+                    family, params, fc.corank, fc.span_indices, len(handle.member_indices),
+                    fc.class_size, digest, child_lam, len(child), child.dim, verified,
+                )
     ordered = tuple(
         sorted(entries.values(), key=lambda e: (e.corank, e.child_dim, e.digest))
     )

@@ -352,4 +352,7 @@ def from_json_dict(d: Mapping) -> Configuration:
         for a in _json_list(d["covectors"], "'covectors'")
     ]
     mults = [_rat_from_json(c) for c in _json_list(d["multiplicities"], "'multiplicities'")]
-    return Configuration(d["dim"], tuple(covs), tuple(mults), d.get("name"))
+    name = d.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError("'name' must be a string, got %r" % (name,))
+    return Configuration(d["dim"], tuple(covs), tuple(mults), name)

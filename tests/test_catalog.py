@@ -10,7 +10,13 @@ from trigvee.catalog import (
     enumerate_flat_classes,
     pairing_profile,
 )
-from trigvee.configuration import apply_matrix, configuration, normalize_positive, pairings
+from trigvee.configuration import (
+    ZeroMultiplicityWarning,
+    apply_matrix,
+    configuration,
+    normalize_positive,
+    pairings,
+)
 from trigvee.exactla import mat
 from trigvee.families import family_spec, generate
 from trigvee.restriction import restrict
@@ -121,6 +127,23 @@ def test_catalog_entries_verified():
     table = restricted_family(family_spec("RestrictedBC", partition=(2, 2), r=1, s=1, q=1))
     digests = {e.digest for e in cat.entries}
     assert canonical_digest(table) in digests
+
+
+def test_catalog_children_do_not_leak_zero_multiplicity_warnings():
+    # BC4(1, -1, 1) has children whose covectors cancel in pairs; the
+    # catalog builds them itself, so their dropped covectors are no warning
+    cfg = generate(family_spec("BC", 4, r=1, s=-1, q=1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_catalog(cfg, "BC", "r=1,s=-1,q=1", 2)
+    assert not [w for w in caught if issubclass(w.category, ZeroMultiplicityWarning)]
+
+
+def test_pairing_profile_warns_like_g2_on_a_cancelling_pair():
+    cfg = configuration(2, [[1, 0], [0, 1], [1, 1], [-1, -1]], [1, 1, 1, -1])
+    with pytest.warns(ZeroMultiplicityWarning):
+        profile = pairing_profile(cfg)
+    assert profile == pairing_profile(configuration(2, [[1, 0], [0, 1]], [1, 1]))
 
 
 def test_max_corank_bounds():

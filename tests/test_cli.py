@@ -63,6 +63,16 @@ def test_check_malformed_exit_2(tmp_path, capsys):
     assert run(capsys, "check", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_check_non_string_name_exit_2(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({
+        "dim": 1, "covectors": [["1"]], "multiplicities": ["1"], "name": {"x": [1]},
+    }))
+    code, out, err = run(capsys, "restrict", str(path), "--kernel-of", "0")
+    assert (code, out) == (2, "")
+    assert "'name' must be a string" in err
+
+
 def test_wdvv_command(tmp_path, capsys):
     path = tmp_path / "bc2.json"
     run(capsys, "gen", "--family", "BC", "--rank", "2",
@@ -119,6 +129,18 @@ def test_subsystem_of_non_vee_parent_reports_eigenvalues_error(capsys):
     assert "eigenvalues" not in payload
     code, out, _ = run(capsys, "subsystem", os.path.join(_INPUTS, "D8.json"), "--span", "1,2", "--json")
     assert code == 0 and json.loads(out)["eigenvalues"] == ["3/14"]
+
+
+def test_negative_fraction_attached_with_equals(capsys):
+    # argparse reads "-1/3" after a space as an option, so it must be attached
+    code, out, err = run(capsys, "gamma", "--family", "F4", "--p", "1", "--q=-1/3", "--json")
+    assert code == 0 and json.loads(out)["gamma_sq_direct"] == "-2/9"
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--family", "F4", "--p", "1", "--q", "-1/3"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    f4 = os.path.join(_INPUTS, "F4.json")
+    code, out, err = run(capsys, "wdvv", f4, "--lambda-sq=-1/2", "--samples", "4", "--json")
+    assert code == 1 and json.loads(out)["lambda_sq"] == "-1/2"
 
 
 def test_gamma_command(capsys):

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from trigvee import catalog
+from trigvee import catalog, permgroup
 from trigvee.catalog import enumerate_flat_classes, simple_reflections
 from trigvee.configuration import configuration, lattice, pairings
 from trigvee.families import family_spec, generate
@@ -110,16 +110,18 @@ _ORDERS = [
 
 def _assert_complete(chain, order):
     """The chain is consistent, and every Schreier generator of every level
-    sifts to the identity through the levels below it."""
+    sifts to the identity through the levels below it.  A level stores only
+    the inverse u^-1 of each transversal element u."""
     assert chain.order() == order
     for i, (b, trans) in enumerate(zip(chain.base, chain.trans)):
         for s, si in chain.gens[i]:
             assert all(s[c] == c for c in chain.base[:i])
-            assert catalog._mul(s, si) == chain.ident
-        for y, (u, ui) in trans.items():
-            assert u[b] == y and catalog._mul(u, ui) == chain.ident
+            assert permgroup.mul(s, si) == chain.ident
+        for y, ui in trans.items():
+            assert ui[y] == b
+            u = permgroup.inverse(ui)
             for s, _ in chain.gens[i]:
-                g = catalog._mul(trans[s[y]][1], catalog._mul(s, u))
+                g = permgroup.mul(trans[s[y]], permgroup.mul(s, u))
                 assert chain.sift(g, i + 1) == (chain.ident, len(chain.base))
 
 
@@ -130,7 +132,7 @@ def test_group_order_and_complete_chain(name, spec, order):
     _assert_complete(walk.chain, order)
     # a rebased chain is certified by the order alone; check it the long way
     base = random.Random(name).sample(range(walk.n), 3)
-    chain = catalog._rebase(walk.chain, base, random.Random(1))
+    chain = permgroup.rebase(walk.chain, base)
     assert chain.base[:3] == base
     _assert_complete(chain, order)
 
@@ -155,6 +157,6 @@ def test_steinberg_count_equals_plain_count(name, spec, corank):
         flat = catalog._Flat(walk, fc.span_indices, members)
         simple, spanned = flat.key
         assert spanned and len(simple) == fc.corank  # every flat is spanned by its roots
-        chain = catalog._rebase(walk.chain, fc.span_indices, walk.rng)
-        plain = catalog._images(chain, fc.corank, members) * chain.order(fc.corank)
+        chain = permgroup.rebase(walk.chain, fc.span_indices)
+        plain = permgroup.images(chain, fc.corank, members) * chain.order(fc.corank)
         assert flat.stabiliser_order() == plain == walk.order // fc.class_size
