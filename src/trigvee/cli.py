@@ -169,37 +169,23 @@ def _cmd_subsystem(args) -> int:
     return 0
 
 
-_GAMMA_DUAL_SPEC = {
-    # multiplicity d_a = c_a / <a,a> expressed through the generator parameters
-    "B": lambda n, p, q: family_spec("B", n, p=p, q=q / 2),
-    "C": lambda n, p, q: family_spec("C", n, p=p / 2, q=q / 4),
-    "F4": lambda n, p, q: family_spec("F4", None, r=q / 2, s=p),
-    "G2": lambda n, p, q: family_spec("G2", None, p=p, q=q / 3),
-}
-
-
 def _cmd_gamma(args) -> int:
     fam = args.family
     # family_spec checks the rank, which root_data takes on trust
     rank = family_spec(fam, args.rank, **dict.fromkeys(PARAM_NAMES.get(fam, ()), 1)).rank
     rd = root_data(fam, rank)
+    if not rd.marks:
+        raise InputError("family %s has no gamma route; gamma supports A, D, E6, E7, E8 (--t)"
+                         " and B, C, F4, G2 (--p, --q)" % fam)
     if rd.simply_laced:
         if args.t is None:
             raise InputError("family %s takes --t" % fam)
-        t = _parse_rat("--t", args.t)
-        mult = {"all": t}
-        spec = family_spec(fam, rank, t=t / 2)
+        mult = {"all": _parse_rat("--t", args.t)}
     else:
-        if fam not in _GAMMA_DUAL_SPEC:
-            raise InputError(
-                "family %s has no gamma route; gamma supports A, D, E6, E7, E8 (--t) and %s"
-                " (--p, --q)" % (fam, ", ".join(_GAMMA_DUAL_SPEC))
-            )
         if args.p is None or args.q is None:
             raise InputError("family %s takes --p (short) and --q (long)" % fam)
-        p, q = _parse_rat("--p", args.p), _parse_rat("--q", args.q)
-        mult = {"short": p, "long": q}
-        spec = _GAMMA_DUAL_SPEC[fam](rank, p, q)
+        mult = {"short": _parse_rat("--p", args.p), "long": _parse_rat("--q", args.q)}
+    spec = family_spec(fam, rank, **{c.param: mult[c.label] / c.norm_sq for c in rd.census})
     highest = gamma_tilde_sq(rd, mult)
     dual_form = gamma_tilde_sq_dual(rd, mult)
     direct = gamma_sq_direct(generate(spec), rd)

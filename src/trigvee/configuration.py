@@ -5,9 +5,10 @@ vectors, collinearity classes with their weighted sums, and a positive-system
 normalization.  Configurations are immutable, so derived data is computed
 once and kept on the instance itself (``memo``): it is freed with the
 configuration, and equality and hashing see only the fields.
-Every exact layer runs on one integer view per configuration, ``lattice``,
-``gram_inverse_cleared`` and ``pairings``, each over one common denominator;
-the Fraction ``duals`` remain for subsystem duals, gamma and wdvv.
+Every exact layer runs on one integer view per configuration, each over one
+common denominator: ``lattice``, ``gram_cleared``, ``gram_inverse_cleared``,
+``duals_cleared`` and ``pairings``; ``gram`` and ``duals`` are its Fraction
+views, and ``gram_inverse`` (N x N) is the one computation left in Fractions.
 """
 
 from __future__ import annotations
@@ -134,13 +135,20 @@ def packed(cfg: Configuration) -> Packed:
 
 
 @memo
-def gram(cfg: Configuration) -> Mat:
-    """The weighted Gram form: sum of c_a * (a (x) a) as an N x N matrix."""
+def gram_cleared(cfg: Configuration) -> tuple[list[list[int]], int]:
+    """(G, D): the weighted Gram form, sum of c_a * (a (x) a), is G / D in integers."""
     lat = lattice(cfg)
     cols = list(zip(*lat.covectors)) or [()] * cfg.dim
     weighted = [tuple(map(mul, lat.multiplicities, col)) for col in cols]
     den = lat.mult_denominator * lat.denominator**2
-    return tuple(tuple(Fraction(sum(map(mul, w, col)), den) for col in cols) for w in weighted)
+    return [[sum(map(mul, w, col)) for col in cols] for w in weighted], den
+
+
+@memo
+def gram(cfg: Configuration) -> Mat:
+    """The weighted Gram form as Fractions: the view of ``gram_cleared``."""
+    g, den = gram_cleared(cfg)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in g)
 
 
 @memo
@@ -154,27 +162,34 @@ def dual(cfg: Configuration, gamma: Iterable) -> Vec:
 
 
 @memo
-def duals(cfg: Configuration) -> tuple[Vec, ...]:
-    gi = gram_inverse(cfg)
-    return tuple(mat_vec(gi, a) for a in cfg.covectors)
-
-
-@memo
 def gram_inverse_cleared(cfg: Configuration) -> tuple[list[list[int]], int]:
     """(H, D): the Gram inverse as the integer matrix H over one denominator D."""
     return clear_denominators(gram_inverse(cfg))
 
 
 @memo
+def duals_cleared(cfg: Configuration) -> tuple[list[list[int]], int]:
+    """(V, D): the duals a_i-vee = V[i] / D, with V[i] = H * a_i on the integer view."""
+    lat = lattice(cfg)
+    gi, gi_den = gram_inverse_cleared(cfg)
+    return [[sum(map(mul, row, a)) for row in gi] for a in lat.covectors], gi_den * lat.denominator
+
+
+@memo
+def duals(cfg: Configuration) -> tuple[Vec, ...]:
+    """The duals as Fractions: the view of ``duals_cleared``."""
+    dv, den = duals_cleared(cfg)
+    return tuple(tuple(Fraction(x, den) for x in v) for v in dv)
+
+
+@memo
 def pairings(cfg: Configuration) -> tuple[list[list[int]], int]:
     """(P, D): the intrinsic pairings a_i(a_j-vee) = P[i][j] / D, P symmetric."""
     lat = lattice(cfg)
-    gi, gi_den = gram_inverse_cleared(cfg)
-    covs = lat.covectors
-    dv = [[sum(map(mul, row, a)) for row in gi] for a in covs]
-    upper = [[sum(map(mul, a, b)) for b in dv[i:]] for i, a in enumerate(covs)]  # j >= i
+    dv, dv_den = duals_cleared(cfg)
+    upper = [[sum(map(mul, a, b)) for b in dv[i:]] for i, a in enumerate(lat.covectors)]  # j >= i
     pm = [[upper[j][i - j] for j in range(i)] + row for i, row in enumerate(upper)]
-    return pm, lat.denominator**2 * gi_den
+    return pm, lat.denominator * dv_den
 
 
 @dataclass(frozen=True)
@@ -256,6 +271,13 @@ def auto_functional(cfg: Configuration) -> tuple[int, ...]:
     raise NoGenericFunctionalError("could not separate covectors from zero")
 
 
+def warn_dropped(dropped: int) -> None:
+    """Warn, on behalf of the caller's caller, that covectors merged to zero were dropped."""
+    if dropped:
+        warnings.warn("%d covector(s) merged to zero multiplicity and were dropped" % dropped,
+                      ZeroMultiplicityWarning, stacklevel=3)
+
+
 def normalize_positive(cfg: Configuration, functional: Iterable | None = None) -> Configuration:
     """Flip covectors to the positive side of a functional and merge duplicates.
 
@@ -278,13 +300,7 @@ def normalize_positive(cfg: Configuration, functional: Iterable | None = None) -
             a, row = tuple(-x for x in a), [-x for x in row]
         merged.setdefault(tuple(row), [a, 0])[1] += c
     kept = [(a, Fraction(c, lat.mult_denominator)) for a, c in merged.values() if c]
-    dropped = len(merged) - len(kept)
-    if dropped:
-        warnings.warn(
-            "%d covector(s) merged to zero multiplicity and were dropped" % dropped,
-            ZeroMultiplicityWarning,
-            stacklevel=2,
-        )
+    warn_dropped(len(merged) - len(kept))
     covs, mults = tuple(a for a, _ in kept), tuple(c for _, c in kept)
     if (covs, mults) == (cfg.covectors, cfg.multiplicities):
         return cfg

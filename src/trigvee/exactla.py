@@ -83,7 +83,7 @@ def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[in
 
 
 def _gauss_jordan(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) on the cleared rows.
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of int or Fraction rows.
 
     Returns (R, pivots, d): the nonzero reduced rows in integers, their pivot
     columns and the last pivot.  R / d is the reduced row echelon form, since
@@ -91,7 +91,7 @@ def _gauss_jordan(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int],
     Each step divides exactly by the previous pivot, so the entries stay
     minors of the cleared input instead of growing.
     """
-    a, _ = clear_denominators(map(vec, rows))
+    a, _ = clear_denominators(rows)
     pivots: list[int] = []
     prev = 1
     for c in range(len(a[0]) if a else 0):

@@ -32,6 +32,7 @@ class RootClass:
     label: str
     norm_sq: Fraction
     count: int
+    param: str  # the generator parameter carrying this class: its multiplicity / norm_sq
 
 
 @dataclass(frozen=True)
@@ -66,39 +67,39 @@ def root_data(family: str, rank: int | None = None) -> RootData:
     if family == "A":
         n = rank
         return RootData("A", n, (two,) * n, (1,) * n, two,
-                        (RootClass("all", two, n * (n + 1) // 2),))
+                        (RootClass("all", two, n * (n + 1) // 2, "t"),))
     if family == "B":
         n = rank
         marks = (1,) + (2,) * (n - 1)
         return RootData("B", n, (two,) * (n - 1) + (one,), marks, two,
-                        (RootClass("short", one, n), RootClass("long", two, n * (n - 1))))
+                        (RootClass("short", one, n, "p"), RootClass("long", two, n * (n - 1), "q")))
     if family == "C":
         n = rank
         marks = (2,) * (n - 1) + (1,)
         return RootData("C", n, (two,) * (n - 1) + (four,), marks, four,
-                        (RootClass("short", two, n * (n - 1)), RootClass("long", four, n)))
+                        (RootClass("short", two, n * (n - 1), "p"), RootClass("long", four, n, "q")))
     if family == "D":
         n = rank
         if n < 3:
             raise NoATableError("D needs rank >= 3")
         marks = (1,) + (2,) * (n - 3) + (1, 1)
         return RootData("D", n, (two,) * n, marks, two,
-                        (RootClass("all", two, n * (n - 1)),))
+                        (RootClass("all", two, n * (n - 1), "t"),))
     if family in ("E6", "E7", "E8"):
         n = int(family[1])
         return RootData(family, n, (two,) * n, _E_MARKS[n], two,
-                        (RootClass("all", two, _E_COUNT[n]),))
+                        (RootClass("all", two, _E_COUNT[n], "t"),))
     if family == "F4":
         return RootData("F4", 4, (two, two, one, one), (2, 3, 4, 2), two,
-                        (RootClass("short", one, 12), RootClass("long", two, 12)))
+                        (RootClass("short", one, 12, "s"), RootClass("long", two, 12, "r")))
     if family == "G2":
         return RootData("G2", 2, (Fraction(3), one), (2, 3), Fraction(3),
-                        (RootClass("short", one, 3), RootClass("long", Fraction(3), 3)))
+                        (RootClass("short", one, 3, "p"), RootClass("long", Fraction(3), 3, "q")))
     if family == "BC":
         n = rank
         return RootData("BC", n, (), (), Fraction(0),
-                        (RootClass("r", one, n), RootClass("s", four, n),
-                         RootClass("q", two, n * (n - 1))))
+                        (RootClass("r", one, n, "r"), RootClass("s", four, n, "s"),
+                         RootClass("q", two, n * (n - 1), "q")))
     raise NoATableError("no root data for family %r" % family)
 
 

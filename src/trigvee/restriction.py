@@ -2,7 +2,8 @@
 
 Covectors outside the subsystem are projected onto the intersection of the
 member kernels; exactly equal projections are merged with summed
-multiplicities (proportional-but-unequal projections stay distinct).  The
+multiplicities (proportional-but-unequal projections stay distinct), and
+merged multiplicities of zero are dropped with a ZeroMultiplicityWarning.  The
 resulting configuration carries the same coupling constant as its parent.
 All of it runs in integers on the parent's integer view.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .configuration import Configuration, c_delta, class_of, lattice
+from .configuration import Configuration, c_delta, class_of, lattice, warn_dropped
 from .exactla import Vec, nullspace_cleared, rank
 from .veesystem import SubsystemHandle
 
@@ -50,10 +51,10 @@ def restrict(cfg: Configuration, sub: SubsystemHandle) -> RestrictionResult:
                 "collinearity class of spanning covector %d has zero weighted sum" % i
             )
 
-    kernel, d = nullspace_cleared([cfg.covectors[i] for i in sub.span_indices], cfg.dim)
+    lat = lattice(cfg)
+    kernel, d = nullspace_cleared([lat.covectors[i] for i in sub.span_indices], cfg.dim)
     if not kernel:
         raise EmptyChildError("the subsystem spans the whole dual space")
-    lat = lattice(cfg)
     merged: dict[tuple[int, ...], list] = {}  # projection -> [multiplicity, parent indices]
     for j, (a, c) in enumerate(zip(lat.covectors, lat.multiplicities)):
         pa = tuple(sum(map(mul, a, k)) for k in kernel)
@@ -69,11 +70,13 @@ def restrict(cfg: Configuration, sub: SubsystemHandle) -> RestrictionResult:
     ]
     if rank(restricted_gram) < k:
         raise DegenerateRestrictedGramError("restricted Gram form is degenerate")
+    kept = {pa: entry for pa, entry in merged.items() if entry[0]}
+    warn_dropped(len(merged) - len(kept))
 
     scale = lat.denominator * d
-    covs = tuple(tuple(Fraction(x, scale) for x in pa) for pa in merged)
-    mults = tuple(Fraction(c, lat.mult_denominator) for c, _ in merged.values())
-    provenance = tuple(tuple(js) for _, js in merged.values())
+    covs = tuple(tuple(Fraction(x, scale) for x in pa) for pa in kept)
+    mults = tuple(Fraction(c, lat.mult_denominator) for c, _ in kept.values())
+    provenance = tuple(tuple(js) for _, js in kept.values())
     name = None if cfg.name is None else "%s | restricted along %s" % (
         cfg.name, list(sub.span_indices))
     child = Configuration(k, covs, mults, name)

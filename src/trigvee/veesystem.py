@@ -24,6 +24,7 @@ from .configuration import (
     class_weights,
     collinear_classes,
     duals,
+    gram_cleared,
     gram_inverse_cleared,
     lattice,
     memo,
@@ -64,15 +65,12 @@ def g1(cfg: Configuration) -> Mat:
 
     Computed through the closed bilinear identity
     G1(u1^v1, u2^v2) = 8*(G(u1,u2)G(v1,v2) - G(u1,v2)G(u2,v1)),
-    on the Gram form of the integer view, with one division per entry;
+    on the integer Gram form ``gram_cleared``, with one division per entry;
     it agrees entrywise with the literal double sum over the
     configuration (property-tested).
     """
-    lat = lattice(cfg)
-    cols = list(zip(*lat.covectors)) or [()] * cfg.dim
-    g = [[sum(map(mul, lat.multiplicities, map(mul, a, b))) for b in cols] for a in cols]
-    den = (lat.mult_denominator * lat.denominator**2) ** 2
-    return _wedge_form(lambda p, r, q, s: g[p][r] * g[q][s], cfg.dim, den)
+    g, den = gram_cleared(cfg)
+    return _wedge_form(lambda p, r, q, s: g[p][r] * g[q][s], cfg.dim, den * den)
 
 
 def _wedge_form(t, n: int, den: int) -> Mat:
@@ -331,9 +329,9 @@ def subsystem(cfg: Configuration, span_indices) -> SubsystemHandle:
         raise ValueError("span_indices must be nonempty")
     if not all(0 <= i < len(cfg) for i in chosen):
         raise ValueError("span_indices must lie in [0, %d), got %s" % (len(cfg), list(chosen)))
-    basis_idx = [chosen[i] for i in independent([cfg.covectors[i] for i in chosen])]
-    kernel, _ = nullspace_cleared([cfg.covectors[i] for i in basis_idx], cfg.dim)
     lat = lattice(cfg)
+    basis_idx = [chosen[i] for i in independent([lat.covectors[i] for i in chosen])]
+    kernel, _ = nullspace_cleared([lat.covectors[i] for i in basis_idx], cfg.dim)
     members = tuple(
         j for j, a in enumerate(lat.covectors) if not any(sum(map(mul, a, k)) for k in kernel)
     )

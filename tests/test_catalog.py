@@ -139,6 +139,18 @@ def test_catalog_children_do_not_leak_zero_multiplicity_warnings():
     assert not [w for w in caught if issubclass(w.category, ZeroMultiplicityWarning)]
 
 
+def test_catalog_counts_only_covectors_that_do_not_cancel():
+    # a child covector whose merged multiplicities cancel is dropped, as the
+    # positive view drops it, so covector_count does not count it
+    bc3 = generate(family_spec("BC", 3, r=1, s=1, q=-1))
+    counts = {e.span_indices: e.covector_count for e in build_catalog(bc3, "BC", "", 1).entries}
+    assert counts[(0,)] == 6 and counts[(6,)] == 9  # 8 and 10 with the cancelled ones
+    bc4 = generate(family_spec("BC", 4, r=1, s=-1, q=1))
+    counts = {e.span_indices: e.covector_count for e in build_catalog(bc4, "BC", "", 3).entries}
+    changed = {(8,): 17, (8, 18): 10, (0, 14): 10, (8, 10, 12): 3, (0, 1, 18): 3}
+    assert {span: counts[span] for span in changed} == changed
+
+
 def test_pairing_profile_warns_like_g2_on_a_cancelling_pair():
     cfg = configuration(2, [[1, 0], [0, 1], [1, 1], [-1, -1]], [1, 1, 1, -1])
     with pytest.warns(ZeroMultiplicityWarning):

@@ -171,6 +171,7 @@ def oracle_restrict(cfg, sub):
         merged[pa][1].append(j)
     if not order:
         raise EmptyChildError("all restrictions vanish")
+    order = [pa for pa in order if merged[pa][0] != 0]  # cancelled merges are dropped
     name = None if cfg.name is None else "%s | restricted along %s" % (cfg.name, list(sub.span_indices))
     child = Configuration(len(basis), tuple(order), tuple(merged[p][0] for p in order), name)
     return RestrictionResult(child, tuple(basis), tuple(tuple(merged[p][1]) for p in order))
@@ -285,7 +286,7 @@ def test_subsystem_layers_match_oracles(cfg, data):
     sub = subsystem(cfg, span)
     assert sub.member_indices == oracle_members(cfg, sub.span_indices)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # children may carry zero multiplicities
+        warnings.simplefilter("ignore")  # cancelled merges are dropped with a warning
         assert outcome(restrict, cfg, sub) == outcome(oracle_restrict, cfg, sub)
     # an isotropic member has zero coordinates: ValueError on both sides
     assert outcome(extract, cfg, sub) == outcome(oracle_extract, cfg, sub)
@@ -312,7 +313,9 @@ def test_deformed_parents_restrict_and_decompose(cfg, data):
     sub = subsystem(cfg, span)
     eig = m_operator(cfg, sub)
     assert eig == oracle_m_operator(cfg, sub)
-    assert outcome(restrict, cfg, sub) == outcome(oracle_restrict, cfg, sub)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroMultiplicityWarning)  # cancelled merges
+        assert outcome(restrict, cfg, sub) == outcome(oracle_restrict, cfg, sub)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,8 +12,10 @@ from trigvee.configuration import (
     collinear_classes,
     configuration,
     duals,
+    duals_cleared,
     from_json_dict,
     gram,
+    gram_cleared,
     gram_inverse,
     gram_inverse_cleared,
     lattice,
@@ -25,8 +27,8 @@ from trigvee.veesystem import g1, g2, lambda_sq, vee_check
 from trigvee.wdvv import float_duals, float_view
 
 EXACT = (
-    lattice, gram, gram_inverse, gram_inverse_cleared, duals, pairings, collinear_classes,
-    g1, g2, lambda_sq,
+    lattice, gram_cleared, gram, gram_inverse, gram_inverse_cleared, duals_cleared, duals,
+    pairings, collinear_classes, g1, g2, lambda_sq,
 )
 
 

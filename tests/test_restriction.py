@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trigvee.catalog import pairing_profile
-from trigvee.configuration import duals, gram, normalize_positive
+from trigvee.configuration import ZeroMultiplicityWarning, duals, gram, normalize_positive
 from trigvee.families import (
     covector_index,
     family_spec,
@@ -27,6 +27,16 @@ from trigvee.wdvv import _lambda_from_sq, product, sample_points
 
 def as_pairs(cfg):
     return sorted(zip(cfg.covectors, cfg.multiplicities))
+
+
+def test_restrict_drops_covectors_whose_multiplicities_cancel():
+    bc3 = generate(family_spec("BC", 3, r=1, s=-1, q=2))
+    with pytest.warns(ZeroMultiplicityWarning, match="^1 covector"):
+        res = restrict(bc3, subsystem(bc3, [7]))
+    # (2, 0) merges covectors 3, 4 and 6, with multiplicities -1 - 1 + 2
+    assert res.child.covectors == ((1, 0), (0, 1), (0, 2), (1, 1), (1, -1))
+    assert res.child.multiplicities == (2, 1, -1, 4, 4)
+    assert res.provenance == ((0, 1), (2,), (5,), (8, 10), (9, 11))
 
 
 def test_bc4_partition_matches_table_exactly():
