@@ -30,12 +30,11 @@ from operator import mul, sub
 from .configuration import (
     Configuration,
     ZeroMultiplicityWarning,
-    _positive_view,
-    auto_functional,
     collinear_classes,
     duals,  # unused here; perfbench/tracer.py wraps trigvee.catalog.duals
     lattice,
     line_key,
+    orientation,
     pairings,
 )
 from .exactla import nullspace_cleared
@@ -51,26 +50,26 @@ class CatalogError(RuntimeError):
 def pairing_profile(cfg: Configuration) -> tuple:
     """Intrinsic invariants of a configuration under linear equivalence.
 
-    The configuration is first normalized to a positive system (merging
-    opposite covectors, which leaves all vee-data unchanged), the memoised
-    view that ``g2`` also uses; the profile collects the multiset of
-    (multiplicity, a(a-vee)) diagonal data and the multiset of unordered
-    pair data (multiplicities, |a(b-vee)|).  Invariant under any invertible
-    change of coordinates and per-covector sign flips.
+    Taken over the rows that cfg's ``orientation`` keeps (merging opposite
+    covectors leaves all vee-data unchanged): the multiset of (multiplicity,
+    a(a-vee)) diagonal data and the multiset of unordered pair data
+    (multiplicities, |a(b-vee)|).  Invariant under any invertible change of
+    coordinates and per-covector sign flips.
 
     Sorted and counted on the cleared integers of ``lattice`` and
     ``pairings``, whose order is that of the fractions; each distinct value
     becomes one Fraction at the end.
     """
-    cfg = _positive_view(cfg)
-    _, _, mults, mult_den = lattice(cfg)
+    rows = orientation(cfg).rows
+    mult_den = lattice(cfg).mult_denominator
     pm, den = pairings(cfg)
-    diag = sorted(zip(mults, (row[i] for i, row in enumerate(pm))))
+    diag = sorted((c, pm[i][i]) for i, c in rows)
     off = Counter()
-    for i, (ci, row) in enumerate(zip(mults, pm)):
-        for cj, p in zip(mults[i + 1 :], row[i + 1 :]):
-            off[(ci, cj, abs(p)) if ci <= cj else (cj, ci, abs(p))] += 1
-    mult = {c: Fraction(c, mult_den) for c in set(mults)}
+    for k, (i, ci) in enumerate(rows):
+        for j, cj in rows[k + 1 :]:
+            p = abs(pm[i][j])
+            off[(ci, cj, p) if ci <= cj else (cj, ci, p)] += 1
+    mult = {c: Fraction(c, mult_den) for _, c in rows}
     pair = {p: Fraction(p, den) for p in {p for _, p in diag} | {key[2] for key in off}}
     pairs = []
     for (lo, hi, p), count in sorted(off.items()):
@@ -162,7 +161,7 @@ def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
     s_b(a) = a - 2 a(b-vee) / b(b-vee) b is computed exactly on the integer
     view; it is a symmetry when it permutes the covectors up to sign and
     keeps every multiplicity.  The lines of those b are the reflecting lines,
-    oriented positive against ``auto_functional``; a symmetry s_b is simple
+    oriented by their ``orientation`` signs; a symmetry s_b is simple
     when it turns exactly one positive reflecting line negative (Humphreys,
     Reflection Groups and Coxeter Groups, 1.7).  The simple reflections
     generate the same group as all reflecting symmetries.
@@ -177,8 +176,7 @@ def _reflections(cfg: Configuration) -> tuple[dict, dict]:
     whose line s_b turns from positive to negative or back."""
     covs, _, mults, _ = lattice(cfg)
     pm, _ = pairings(cfg)
-    phi = auto_functional(cfg)
-    positive = [sum(map(mul, a, phi)) > 0 for a in covs]
+    positive = [s > 0 for s in orientation(cfg).signs]
     # each row and its negative -> (index, sign); a row itself wins over a negative
     index = {tuple(-x for x in a): (i, -1) for i, a in enumerate(covs)}
     index.update((tuple(a), (i, 1)) for i, a in enumerate(covs))
@@ -418,7 +416,7 @@ def build_catalog(
     )
     entries[root_entry.digest] = root_entry
     # children with cancelling covector pairs are built here, not given, so
-    # the warning that their positive views drop them would name nothing
+    # the warning that their ``orientation`` drops them would name nothing
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroMultiplicityWarning)
         for fc in flats:

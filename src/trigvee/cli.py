@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from .configuration import from_json_dict, to_json_dict
@@ -297,24 +298,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        code = args.func(args)
-        if sys.stdout is not None:  # None when started with stdout closed
-            sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
-        return code
-    except BrokenPipeError:
-        # the reader stopped early; what is still buffered goes to devnull at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except CDeltaZeroError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (InputError, ValueError, KeyError, ZeroDivisionError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except MemoryError as e:
-        print("error: out of memory%s" % (": %s" % e if str(e) else ""), file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # library warnings print as one line, like errors
+        warnings.showwarning = lambda message, *_: print("warning: %s" % message, file=sys.stderr)
+        try:
+            code = args.func(args)
+            if sys.stdout is not None:  # None when started with stdout closed
+                sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+            return code
+        except BrokenPipeError:
+            # the reader stopped early; what is still buffered goes to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        except CDeltaZeroError as e:
+            print("error: %s" % e, file=sys.stderr)
+            return 1
+        except (InputError, ValueError, KeyError, ZeroDivisionError) as e:
+            print("error: %s" % e, file=sys.stderr)
+            return 2
+        except MemoryError as e:
+            print("error: out of memory%s" % (": %s" % e if str(e) else ""), file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Configurations: finite covector collections with rational multiplicities.
 
 The pair (covectors, multiplicities) determines the weighted Gram form, dual
-vectors, collinearity classes with their weighted sums, and a positive-system
-normalization.  Configurations are immutable, so derived data is computed
+vectors, collinearity classes with their weighted sums, and a positive system
+(``orientation``).  Configurations are immutable, so derived data is computed
 once and kept on the instance itself (``memo``): it is freed with the
 configuration, and equality and hashing see only the fields.
 Every exact layer runs on one integer view per configuration, each over one
@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .exactla import (
     Mat,
+    SingularMatrixError,
     Vec,
     clear_denominators,
     dot,
@@ -153,7 +154,10 @@ def gram(cfg: Configuration) -> Mat:
 
 @memo
 def gram_inverse(cfg: Configuration) -> Mat:
-    return invert(gram(cfg))
+    try:
+        return invert(gram(cfg))
+    except SingularMatrixError:
+        raise SingularMatrixError("the weighted Gram form is singular") from None
 
 
 def dual(cfg: Configuration, gamma: Iterable) -> Vec:
@@ -271,51 +275,55 @@ def auto_functional(cfg: Configuration) -> tuple[int, ...]:
     raise NoGenericFunctionalError("could not separate covectors from zero")
 
 
-def warn_dropped(dropped: int) -> None:
+def warn_dropped(dropped: int, stacklevel: int = 3) -> None:
     """Warn, on behalf of the caller's caller, that covectors merged to zero were dropped."""
     if dropped:
         warnings.warn("%d covector(s) merged to zero multiplicity and were dropped" % dropped,
-                      ZeroMultiplicityWarning, stacklevel=3)
+                      ZeroMultiplicityWarning, stacklevel=stacklevel)
+
+
+class Orientation(NamedTuple):
+    signs: list[int]  # each covector's sign against the functional
+    rows: list[tuple[int, int]]  # kept merged rows: (first index, summed ``lattice`` multiplicity)
+    classes: int  # the collinearity classes that keep a row
+
+
+def _orient(cfg: Configuration, phi: list[int]) -> Orientation:
+    """Flip the integer rows to the positive side of phi and merge duplicates;
+    merged multiplicities of zero are dropped with a ZeroMultiplicityWarning."""
+    lat = lattice(cfg)
+    signs, merged = [], {}  # flipped integer row -> [first index, multiplicity]
+    for i, (row, c) in enumerate(zip(lat.covectors, lat.multiplicities)):
+        v = sum(map(mul, row, phi))
+        if v == 0:
+            raise NoGenericFunctionalError("functional vanishes on a covector")
+        signs.append(1 if v > 0 else -1)
+        merged.setdefault(tuple(x if v > 0 else -x for x in row), [i, 0])[1] += c
+    rows = [(i, c) for i, c in merged.values() if c]
+    warn_dropped(len(merged) - len(rows), stacklevel=4)
+    return Orientation(signs, rows, len({line_key(lat.covectors[i]) for i, _ in rows}))
+
+
+@memo
+def orientation(cfg: Configuration) -> Orientation:
+    """The positive system against ``auto_functional``, read off cfg itself: that of
+    ``normalize_positive(cfg)``, whose Gram form and |a(b-vee)| are cfg's own."""
+    return _orient(cfg, auto_functional(cfg))
 
 
 def normalize_positive(cfg: Configuration, functional: Iterable | None = None) -> Configuration:
-    """Flip covectors to the positive side of a functional and merge duplicates.
-
-    Exact duplicates are merged with summed multiplicities; merged
-    multiplicities of zero are dropped with a ZeroMultiplicityWarning.  The
-    Gram form is unchanged by this operation.  When nothing changes, cfg
-    itself is returned, so its memoized data is shared.
-    """
+    """The positive system against a functional as a configuration of its own (see
+    ``_orient``), with the same Gram form; cfg itself when nothing changes."""
     phi = auto_functional(cfg) if functional is None else vec(functional)
     (phi,), _ = clear_denominators([phi])
     if len(phi) != cfg.dim:
         raise ValueError("functional has length %d, not %d" % (len(phi), cfg.dim))
-    lat = lattice(cfg)
-    merged: dict[tuple[int, ...], list] = {}  # flipped integer row -> [covector, multiplicity]
-    for a, row, c in zip(cfg.covectors, lat.covectors, lat.multiplicities):
-        v = sum(map(mul, row, phi))
-        if v == 0:
-            raise NoGenericFunctionalError("functional vanishes on a covector")
-        if v < 0:
-            a, row = tuple(-x for x in a), [-x for x in row]
-        merged.setdefault(tuple(row), [a, 0])[1] += c
-    kept = [(a, Fraction(c, lat.mult_denominator)) for a, c in merged.values() if c]
-    warn_dropped(len(merged) - len(kept))
-    covs, mults = tuple(a for a, _ in kept), tuple(c for _, c in kept)
+    signs, rows, _ = _orient(cfg, phi)
+    covs = tuple(tuple(signs[i] * x for x in cfg.covectors[i]) for i, _ in rows)
+    mults = tuple(Fraction(c, lattice(cfg).mult_denominator) for _, c in rows)
     if (covs, mults) == (cfg.covectors, cfg.multiplicities):
         return cfg
     return Configuration(cfg.dim, covs, mults, cfg.name)
-
-
-def _positive_view(cfg: Configuration) -> Configuration:
-    """normalize_positive(cfg), computed once and kept on cfg like a memo,
-    except when it is cfg itself: that would be a reference cycle."""
-    memos = cfg.__dict__
-    if "_memo__positive_view" not in memos:
-        pos = normalize_positive(cfg)
-        memos["_memo__positive_view"] = None if pos is cfg else pos
-    pos = memos["_memo__positive_view"]
-    return cfg if pos is None else pos
 
 
 def apply_matrix(cfg: Configuration, u: Mat) -> Configuration:

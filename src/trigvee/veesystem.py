@@ -20,7 +20,6 @@ from typing import NamedTuple
 from .configuration import (
     Configuration,
     NoGenericFunctionalError,
-    _positive_view,
     class_weights,
     collinear_classes,
     duals,
@@ -28,6 +27,7 @@ from .configuration import (
     gram_inverse_cleared,
     lattice,
     memo,
+    orientation,
     pairings,
 )
 from .exactla import (
@@ -126,8 +126,10 @@ def _g2_sum(cfg: Configuration, signs=None) -> Mat:
 
 @memo
 def g2(cfg: Configuration) -> Mat:
-    """Second canonical form, computed over the positive normalization of cfg."""
-    return _g2_sum(_positive_view(cfg))
+    """Second canonical form over a positive system: cfg's own sum with each covector
+    turned by its ``orientation`` sign, zero when at most one class keeps a row."""
+    signs, _, classes = orientation(cfg)
+    return _g2_sum(cfg, signs) if classes > 1 else zero_wedge_form(cfg.dim)
 
 
 @memo
@@ -260,19 +262,18 @@ def g2_positive_flip_invariant(cfg: Configuration, flips: int = 2, seed: int = 7
 
     Each probe renormalizes against a random generic functional, which flips
     the sign of a random set of collinearity classes while keeping the result
-    a genuine positive system, and compares the form sums exactly.  That
-    renormalization is the positive view g2 uses with covector b turned to
-    sgn(b(phi)) * b, so each probe is the view's sum with those signs.
+    a genuine positive system, and compares the form sums exactly.  As in
+    ``g2``, that positive system's sum is cfg's own with covector b turned to
+    sgn(b(phi)) * b, so each probe is one signed sum on cfg.
     """
     if flips < 0:
         raise ValueError("the number of probe flips must not be negative, got %d" % flips)
     base = g2(cfg)
-    pos = _positive_view(cfg)
     rng = random.Random(seed)
     for _ in range(flips):
         phi = _random_functional(cfg, rng)
-        signs = [1 if sum(map(mul, b, phi)) > 0 else -1 for b in lattice(pos).covectors]
-        if _g2_sum(pos, signs) != base:
+        signs = [1 if sum(map(mul, b, phi)) > 0 else -1 for b in lattice(cfg).covectors]
+        if orientation(cfg).classes > 1 and _g2_sum(cfg, signs) != base:  # else both are zero
             return False
     return True
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -458,3 +459,31 @@ def test_partial_zero_multiplicity_still_generates(capsys):
                        "--param", "r=1", "--param", "s=1", "--param", "q=0")
     cfg = from_json_dict(json.loads(out))
     assert code == 0 and len(cfg) == 6  # e_i and 2e_i; the q-weighted e_i +- e_j drop out
+
+
+def test_library_warning_prints_as_one_line(tmp_path, capsys):
+    bc3 = tmp_path / "bc3.json"
+    assert run(capsys, "gen", "--family", "BC", "--rank", "3", "--param", "r=1",
+               "--param", "s=-1", "--param", "q=2", "-o", str(bc3)) == (0, "", "")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigvee.cli", "restrict", str(bc3), "--kernel-of", "7"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["dim"] == 2
+    assert proc.stderr == "warning: 1 covector(s) merged to zero multiplicity and were dropped\n"
+    # in process the display is main's own: callers keep theirs
+    shown = warnings.showwarning
+    code, _, err = run(capsys, "restrict", str(bc3), "--kernel-of", "7")
+    assert (code, err) == (0, proc.stderr) and warnings.showwarning is shown
+
+
+@pytest.mark.parametrize("command", [["check"], ["subsystem", "--span", "0"]])
+def test_singular_gram_form_is_named(command, tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"dim": 2, "covectors": [[1, 0], [0, 1], [0, -1]],
+                                "multiplicities": [1, 1, -1]}))
+    assert run(capsys, command[0], str(path), *command[1:]) == (
+        2, "", "error: the weighted Gram form is singular\n"
+    )

@@ -1,9 +1,9 @@
 """The positive-system probe of the second form runs on signs.
 
-Renormalizing against a functional phi turns each covector b of the positive
-view to sgn(b(phi)) * b and leaves the merged multiplicities as they are, so
-the probe evaluates the view's second form with those signs instead of
-building a new configuration per probe.  The per-probe renormalization the
+Renormalizing against a functional phi turns each covector b to
+sgn(b(phi)) * b and merges duplicates, which only adds multiplicities, so
+the probe evaluates the configuration's own second form with those signs
+instead of building a new configuration per probe.  The per-probe renormalization the
 signs replaced is kept here as the oracle, with the Fraction draw of the
 random functional the integer draw replaced.
 """
@@ -15,10 +15,8 @@ from fractions import Fraction as Q
 from hypothesis import given, settings, strategies as st
 
 from test_integer_view import rational_configurations
-from trigvee import configuration
-from trigvee.configuration import Configuration, from_json_dict, normalize_positive, to_json_dict
+from trigvee.configuration import Configuration, normalize_positive
 from trigvee.exactla import dot
-from trigvee.families import family_spec, generate
 from trigvee.veesystem import _g2_sum, _random_functional, g2_positive_flip_invariant
 
 
@@ -75,22 +73,3 @@ def test_signed_probe_matches_per_probe_renormalization(cfg, seed):
             assert _g2_sum(pos, signs) == _g2_sum(normalize_positive(cfg, phi))
         assert g2_positive_flip_invariant(cfg, 3, seed) == expected
 
-
-def test_one_normalization_per_probe_call(monkeypatch):
-    calls = []
-    real = configuration.normalize_positive
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(configuration, "normalize_positive", counted)
-    bc3 = to_json_dict(generate(family_spec("BC", 3, r=1, s=2, q=Q(3, 2))))
-    flipped = dict(bc3, covectors=[[str(-Q(x)) for x in a] for a in bc3["covectors"]])
-    for blob in (bc3, flipped):
-        for flips in (0, 1, 5):
-            cfg = from_json_dict(blob)
-            for repeat in range(2):
-                calls.clear()
-                assert g2_positive_flip_invariant(cfg, flips)
-                assert len(calls) == (repeat == 0)  # the view is kept on cfg

@@ -19,6 +19,7 @@ from trigvee.configuration import (
     gram_inverse,
     gram_inverse_cleared,
     lattice,
+    orientation,
     pairings,
     to_json_dict,
 )
@@ -28,7 +29,7 @@ from trigvee.wdvv import float_duals, float_view
 
 EXACT = (
     lattice, gram_cleared, gram, gram_inverse, gram_inverse_cleared, duals_cleared, duals,
-    pairings, collinear_classes, g1, g2, lambda_sq,
+    pairings, collinear_classes, orientation, g1, g2, lambda_sq,
 )
 
 
