@@ -55,15 +55,20 @@ def pairing_profile(cfg: Configuration) -> tuple:
     a(a-vee)) diagonal data and the multiset of unordered pair data
     (multiplicities, |a(b-vee)|).  Invariant under any invertible change of
     coordinates and per-covector sign flips.
-
-    Sorted and counted on the cleared integers of ``lattice`` and
-    ``pairings``, whose order is that of the fractions; each distinct value
-    becomes one Fraction at the end.
     """
+    diag, pairs = (tuple(x for x, count in runs for _ in range(count)) for runs in _profile_runs(cfg))
+    return (cfg.dim, diag, pairs)
+
+
+def _profile_runs(cfg: Configuration) -> tuple[list, list]:
+    """The diagonal and the pair data of ``pairing_profile`` as sorted runs
+    (distinct item, count).  Sorted and counted on the cleared integers of
+    ``lattice`` and ``pairings``, whose order is that of the fractions; each
+    distinct value becomes one Fraction at the end."""
     rows = orientation(cfg).rows
     mult_den = lattice(cfg).mult_denominator
     pm, den = pairings(cfg)
-    diag = sorted((c, pm[i][i]) for i, c in rows)
+    diag = Counter((c, pm[i][i]) for i, c in rows)
     off = Counter()
     for k, (i, ci) in enumerate(rows):
         for j, cj in rows[k + 1 :]:
@@ -71,15 +76,25 @@ def pairing_profile(cfg: Configuration) -> tuple:
             off[(ci, cj, p) if ci <= cj else (cj, ci, p)] += 1
     mult = {c: Fraction(c, mult_den) for _, c in rows}
     pair = {p: Fraction(p, den) for p in {p for _, p in diag} | {key[2] for key in off}}
-    pairs = []
-    for (lo, hi, p), count in sorted(off.items()):
-        pairs += [(mult[lo], mult[hi], pair[p])] * count
-    return (cfg.dim, tuple((mult[c], pair[p]) for c, p in diag), tuple(pairs))
+    return (
+        [((mult[c], pair[p]), count) for (c, p), count in sorted(diag.items())],
+        [((mult[lo], mult[hi], pair[p]), count) for (lo, hi, p), count in sorted(off.items())],
+    )
 
 
 def canonical_digest(cfg: Configuration) -> str:
-    """Heuristic canonical-form hash of a configuration (see pairing_profile)."""
-    return hashlib.sha256(repr(pairing_profile(cfg)).encode()).hexdigest()[:16]
+    """Heuristic canonical-form hash of a configuration: the SHA-256 of
+    ``repr(pairing_profile(cfg))``, written with one ``repr`` per distinct item."""
+    text = "(%d, %s, %s)" % (cfg.dim, *map(_tuple_repr, _profile_runs(cfg)))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _tuple_repr(runs: list) -> str:
+    """``repr`` of the tuple that holds each item of runs count times."""
+    items = []
+    for x, count in runs:
+        items += [repr(x)] * count
+    return "(%s,)" % items[0] if len(items) == 1 else "(%s)" % ", ".join(items)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,9 @@ def _load_config(path: str):
 
 
 def _emit(obj, out: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Write a command's output: a report's own ``dumps()`` text, or a plain dict
+    as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    text = json.dumps(obj, indent=2, sort_keys=True) if isinstance(obj, dict) else obj.dumps()
     if out:
         try:
             with open(out, "w") as fh:
@@ -99,17 +101,16 @@ def _cmd_check(args) -> int:
     if len(cfg) == 0:
         raise InputError("empty covector list")
     report = vee_check(cfg, probe_flips=args.probe_flips, seed=args.seed)
-    payload = report.to_json_dict()
     if args.json:
-        _emit(payload, None)
+        _emit(report, None)
     else:
         print("vee-system: %s" % ("yes" if report.is_vee else "NO"))
         print("proportional forms: %s" % ("yes" if report.proportionality_ok else "NO"))
-        print("lambda_sq: %s" % payload["lambda_sq"])
+        print("lambda_sq: %s" % report.lambda_sq)
         flip = report.g2_positive_independent
         print("positive-system independent: %s" % ("not probed" if flip is None else flip))
-        for w in payload["warnings"]:
-            print("warning: zero class sum at anchor %d subset %s" % (w["anchor"], w["subset"]))
+        for w in report.c_delta_warnings:
+            print("warning: zero class sum at anchor %d subset %s" % (w.anchor, list(w.subset)))
     return 0 if report.is_vee and report.proportionality_ok else 1
 
 
@@ -231,7 +232,7 @@ def _cmd_catalog(args) -> int:
     except CatalogError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    _emit(cat.to_json_dict(), args.output)
+    _emit(cat, args.output)
     return 0
 
 

@@ -13,6 +13,8 @@ views, and ``gram_inverse`` (N x N) is the one computation left in Fractions.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,11 +277,25 @@ def auto_functional(cfg: Configuration) -> tuple[int, ...]:
     raise NoGenericFunctionalError("could not separate covectors from zero")
 
 
-def warn_dropped(dropped: int, stacklevel: int = 3) -> None:
-    """Warn, on behalf of the caller's caller, that covectors merged to zero were dropped."""
+_PACKAGE_PREFIX = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def outside_stacklevel() -> int:
+    """The ``stacklevel`` with which the caller's ``warnings.warn`` names the first
+    frame outside this package, however many package frames (memos among them)
+    lie between; Python 3.12's ``skip_file_prefixes`` does this, 3.10 has none."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def warn_dropped(dropped: int) -> None:
+    """Warn, on behalf of the first caller outside this package, that covectors
+    merged to zero were dropped."""
     if dropped:
         warnings.warn("%d covector(s) merged to zero multiplicity and were dropped" % dropped,
-                      ZeroMultiplicityWarning, stacklevel=stacklevel)
+                      ZeroMultiplicityWarning, stacklevel=outside_stacklevel())
 
 
 class Orientation(NamedTuple):
@@ -300,7 +316,7 @@ def _orient(cfg: Configuration, phi: list[int]) -> Orientation:
         signs.append(1 if v > 0 else -1)
         merged.setdefault(tuple(x if v > 0 else -x for x in row), [i, 0])[1] += c
     rows = [(i, c) for i, c in merged.values() if c]
-    warn_dropped(len(merged) - len(rows), stacklevel=4)
+    warn_dropped(len(merged) - len(rows))
     return Orientation(signs, rows, len({line_key(lat.covectors[i]) for i, _ in rows}))
 
 
@@ -371,11 +387,20 @@ def from_json_dict(d: Mapping) -> Configuration:
         raise ValueError("a configuration must be a JSON object, got %r" % (d,))
     if not isinstance(d.get("dim"), int) or isinstance(d["dim"], bool):
         raise ValueError("missing or non-integer 'dim'")
+    parsed: dict[str, Fraction] = {}  # most entries repeat a few strings: parse each once
+
+    def rat(x) -> Fraction:
+        if type(x) is not str:
+            return _rat_from_json(x)
+        if x not in parsed:
+            parsed[x] = _rat_from_json(x)
+        return parsed[x]
+
     covs = [
-        tuple(_rat_from_json(x) for x in _json_list(a, "a covector"))
+        tuple(map(rat, _json_list(a, "a covector")))
         for a in _json_list(d["covectors"], "'covectors'")
     ]
-    mults = [_rat_from_json(c) for c in _json_list(d["multiplicities"], "'multiplicities'")]
+    mults = [rat(c) for c in _json_list(d["multiplicities"], "'multiplicities'")]
     name = d.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError("'name' must be a string, got %r" % (name,))

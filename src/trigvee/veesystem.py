@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .configuration import (
     Configuration,
@@ -28,6 +28,7 @@ from .configuration import (
     lattice,
     memo,
     orientation,
+    outside_stacklevel,
     pairings,
 )
 from .exactla import (
@@ -194,6 +195,57 @@ class VeeReport:
             "series": series,
         }
 
+    def dumps(self) -> str:
+        """The text of ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``,
+        written straight from ``series_residuals`` with no dict tree.
+
+        One pass groups the residuals by alpha, and the alpha keys are ordered as
+        strings, as sort_keys orders them ("10" before "2").  Each distinct residual
+        (the zero residuals share one Fraction) and each distinct members tuple
+        (singleton series recur across alphas) is rendered once.
+        """
+        res_text: dict[int, str] = {}  # keyed on id, which takes no Fraction hash
+        members_text: dict[tuple[int, ...], str] = {}
+        groups: dict[int, tuple[list[str], list[str]]] = {}
+        for alpha, members, residual in self.series_residuals:
+            rs, ms = groups.get(alpha) or groups.setdefault(alpha, ([], []))
+            rs.append(res_text.get(id(residual)) or res_text.setdefault(
+                id(residual), '        "%s"' % residual))
+            ms.append(members_text.get(members) or members_text.setdefault(
+                members, "        " + _block("[]", ["          %d" % b for b in members], 4)))
+        series = [
+            '    "%d": {\n      "residuals": %s,\n      "series": %s\n    }'
+            % (alpha, _block("[]", rs, 3), _block("[]", ms, 3))
+            for alpha, (rs, ms) in sorted(groups.items(), key=lambda kv: str(kv[0]))
+        ]
+        warns = [
+            '    {\n      "anchor": %d,\n      "subset": %s\n    }'
+            % (w.anchor, _block("[]", ["        %d" % i for i in w.subset], 3))
+            for w in self.c_delta_warnings
+        ]
+        return (
+            '{\n  "g2_positive_independent": %s,\n  "is_vee": %s,\n  "lambda_sq": %s,\n'
+            '  "proportionality_ok": %s,\n  "series": %s,\n  "warnings": %s\n}'
+        ) % (
+            _JSON_CONSTANTS[self.g2_positive_independent],
+            _JSON_CONSTANTS[self.is_vee],
+            "null" if self.lambda_sq is None else '"%s"' % self.lambda_sq,
+            _JSON_CONSTANTS[self.proportionality_ok],
+            _block("{}", series, 1),
+            _block("[]", warns, 1),
+        )
+
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _block(brackets: str, items: Sequence[str], depth: int) -> str:
+    """A JSON array ("[]") or object ("{}") at nesting depth, laid out as
+    ``json.dumps(indent=2)`` lays it out, from its items rendered one level deeper."""
+    if not items:
+        return brackets
+    return "%s\n%s\n%s%s" % (brackets[0], ",\n".join(items), "  " * depth, brackets[1])
+
 
 def vee_residuals(cfg: Configuration, alphas=None) -> tuple[SeriesResidual, ...]:
     """Per-(alpha, series) signed residual of the vee-condition sum, for every
@@ -232,7 +284,7 @@ def c_delta_zero_warnings(cfg: Configuration) -> tuple[CDeltaWarning, ...]:
         if len(idxs) > _SUBSET_CAP:
             warnings.warn("collinearity class at anchor %d has %d covectors; only subsets of "
                           "its first %d are searched" % (cls.anchor, len(idxs), _SUBSET_CAP),
-                          stacklevel=2)
+                          stacklevel=outside_stacklevel())
             idxs = idxs[:_SUBSET_CAP]
         weights = class_weights(cfg, cls)[1]
         for mask in range(1, 1 << len(idxs)):

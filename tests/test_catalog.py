@@ -1,10 +1,13 @@
+import hashlib
 import json
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
 
 from trigvee.catalog import (
+    _tuple_repr,
     build_catalog,
     canonical_digest,
     enumerate_flat_classes,
@@ -21,6 +24,8 @@ from trigvee.exactla import mat
 from trigvee.families import family_spec, generate
 from trigvee.restriction import restrict
 from trigvee.veesystem import lambda_sq, subsystem
+
+from test_flip_probe import configurations_with_cancelling_pairs
 
 
 def oracle_pairing_profile(cfg):
@@ -40,7 +45,12 @@ def oracle_pairing_profile(cfg):
     return (cfg.dim, tuple(diag), tuple(sorted(off)))
 
 
-@pytest.mark.parametrize(
+def oracle_digest(cfg):
+    """``canonical_digest`` as the hash of the profile's repr, one repr per pair."""
+    return hashlib.sha256(repr(pairing_profile(cfg)).encode()).hexdigest()[:16]
+
+
+_PARENTS = pytest.mark.parametrize(
     "spec",
     [
         family_spec("E6", t=1),
@@ -51,15 +61,47 @@ def oracle_pairing_profile(cfg):
     ],
     ids=["E6", "E7", "E8", "F4", "BC4"],
 )
-def test_pairing_profile_repr_matches_fraction_oracle(spec):
-    # the repr is what canonical_digest hashes, so every digest depends on it byte for byte
+
+
+def _with_children(spec):
+    """The root configuration and its flat-class children up to corank 3."""
     cfg = generate(spec)
-    children = [
+    return [cfg] + [
         restrict(cfg, subsystem(cfg, fc.span_indices)).child
         for fc in enumerate_flat_classes(cfg, min(3, cfg.dim - 1))
     ]
-    for c in [cfg, *children]:
+
+
+@_PARENTS
+def test_pairing_profile_repr_matches_fraction_oracle(spec):
+    # the repr is what canonical_digest hashes, so every digest depends on it byte for byte
+    for c in _with_children(spec):
         assert repr(pairing_profile(c)) == repr(oracle_pairing_profile(c))
+
+
+@_PARENTS
+def test_digest_matches_profile_repr_oracle(spec):
+    for c in _with_children(spec):
+        assert canonical_digest(c) == oracle_digest(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(configurations_with_cancelling_pairs())
+@example(configuration(1, [[1], [-1], [3]], [2, -1, 1]))  # one pair: a 1-tuple
+@example(configuration(1, [[2], [-2], [1]], [1, -1, 1]))  # one row: a 1-tuple and ()
+def test_digest_matches_profile_repr_oracle_on_random_configurations(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            expected = oracle_digest(cfg)
+        except ZeroDivisionError:  # a singular Gram form
+            assume(False)
+        assert canonical_digest(cfg) == expected
+
+
+@pytest.mark.parametrize("runs", [[], [("a", 1)], [("a", 2)], [("a", 1), (Fraction(1, 2), 3)]])
+def test_tuple_repr_of_runs(runs):
+    assert _tuple_repr(runs) == repr(tuple(x for x, count in runs for _ in range(count)))
 
 
 def test_profile_invariant_under_coordinate_change_and_flips():

@@ -171,6 +171,20 @@ def test_json_rejects_floats():
         from_json_dict({"dim": 2, "covectors": [["1", "0"]], "multiplicities": [0.25]})
 
 
+def test_json_parses_repeated_strings_as_each_entry_alone():
+    """Each distinct string is parsed once per call; the result and every error
+    stay those of parsing each entry on its own (``_rat_from_json``)."""
+    blob = {"dim": 2, "covectors": [["1", "−1/2"], ["-1/2", 3], ["1", "0"]],
+            "multiplicities": ["1/2", "1", "1/2"]}
+    cfg = from_json_dict(blob)
+    assert cfg.covectors == ((1, Q(-1, 2)), (Q(-1, 2), 3), (1, 0))
+    assert cfg.multiplicities == (Q(1, 2), 1, Q(1, 2))
+    for bad, message in [(True, "got True"), (1.0, "got 1.0"), ("1/0", "zero denominator in '1/0'")]:
+        blob["covectors"][2] = ["1", bad]  # after "1" is parsed and cached
+        with pytest.raises(ValueError, match=message):
+            from_json_dict(blob)
+
+
 @pytest.mark.parametrize(
     "name", ["configuration", "veesystem", "series", "restriction", "exactla", "families", "gamma"]
 )
