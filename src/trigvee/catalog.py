@@ -56,7 +56,7 @@ def pairing_profile(cfg: Configuration) -> tuple:
     (multiplicities, |a(b-vee)|).  Invariant under any invertible change of
     coordinates and per-covector sign flips.
     """
-    diag, pairs = (tuple(x for x, count in runs for _ in range(count)) for runs in _profile_runs(cfg))
+    diag, pairs = (tuple(x for x, n in runs for _ in range(n)) for runs in _profile_runs(cfg))
     return (cfg.dim, diag, pairs)
 
 

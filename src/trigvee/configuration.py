@@ -283,7 +283,7 @@ _PACKAGE_PREFIX = os.path.dirname(os.path.abspath(__file__)) + os.sep
 def outside_stacklevel() -> int:
     """The ``stacklevel`` with which the caller's ``warnings.warn`` names the first
     frame outside this package, however many package frames (memos among them)
-    lie between; Python 3.12's ``skip_file_prefixes`` does this, 3.10 has none."""
+    lie between; ``skip_file_prefixes`` would do this, but needs Python 3.12."""
     frame, level = sys._getframe(1), 1
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
         frame, level = frame.f_back, level + 1

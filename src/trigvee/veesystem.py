@@ -204,7 +204,8 @@ class VeeReport:
         (the zero residuals share one Fraction) and each distinct members tuple
         (singleton series recur across alphas) is rendered once.
         """
-        res_text: dict[int, str] = {}  # keyed on id, which takes no Fraction hash
+        # residuals are keyed on id: a Fraction hashes slowly, and each outlives this call
+        res_text: dict[int, str] = {}
         members_text: dict[tuple[int, ...], str] = {}
         groups: dict[int, tuple[list[str], list[str]]] = {}
         for alpha, members, residual in self.series_residuals:
