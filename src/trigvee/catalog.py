@@ -22,10 +22,10 @@ import hashlib
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, sub
+from operator import sub
 
 from .configuration import (
     Configuration,
@@ -37,7 +37,7 @@ from .configuration import (
     orientation,
     pairings,
 )
-from .exactla import nullspace_cleared
+from .exactla import annihilator
 from .permgroup import Chain, images, rebase, schreier_sims
 from .restriction import restrict
 from .veesystem import lambda_sq, subsystem, vee_residuals
@@ -157,15 +157,11 @@ def _quotient_lines(covs, span, dim) -> dict[int, list[int]]:
     """For each covector outside the flat spanned by covs[span], the covectors
     on its line modulo the flat: those whose images under an integer
     annihilator basis of the flat have the same ``line_key``."""
-    kern, _ = nullspace_cleared([covs[i] for i in span], dim)
     groups: dict[tuple[int, ...], list[int]] = {}
-    lines = {}
-    for i, a in enumerate(covs):
-        img = [sum(map(mul, a, k)) for k in kern]
+    for i, img in enumerate(annihilator(covs, span, dim)[2]):
         if any(img):
-            lines[i] = groups.setdefault(line_key(img), [])
-            lines[i].append(i)
-    return lines
+            groups.setdefault(line_key(img), []).append(i)
+    return {i: line for line in groups.values() for i in line}
 
 
 def simple_reflections(cfg: Configuration) -> list[tuple[list[int], list[int]]]:
@@ -372,21 +368,6 @@ class CatalogEntry:
     child_dim: int
     lambda_verified: bool = True  # one-dimensional children carry no wedge constraint
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "corank": self.corank,
-            "span_indices": list(self.span_indices),
-            "n_members": self.n_members,
-            "class_size": self.class_size,
-            "digest": self.digest,
-            "lambda_sq": str(self.lambda_sq),
-            "lambda_verified": self.lambda_verified,
-            "covector_count": self.covector_count,
-            "child_dim": self.child_dim,
-        }
-
 
 @dataclass(frozen=True)
 class Catalog:
@@ -396,17 +377,15 @@ class Catalog:
     parent_lambda_sq: Fraction
     entries: tuple[CatalogEntry, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "max_corank": self.max_corank,
-            "parent_lambda_sq": str(self.parent_lambda_sq),
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, default=_fraction_str)
+
+
+def _fraction_str(x) -> str:
+    """The JSON of a Fraction, its ``str``; any other value is no catalog field."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
 
 
 def build_catalog(

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 
 from .configuration import from_json_dict, to_json_dict
@@ -126,16 +127,8 @@ def _cmd_wdvv(args) -> int:
         except (NotProportionalError, ZeroG2Error) as e:
             raise InputError("lambda^2 is undefined for this configuration: %s" % e)
     report = wdvv.wdvv_residual(cfg, lam, points=args.samples, seed=args.seed, tol=args.tol)
-    payload = {
-        "lambda_sq": str(lam),
-        "max_residual": report.max_residual,
-        "tol": report.tol,
-        "passed": report.passed,
-        "seed": report.seed,
-        "points": report.points,
-    }
     if args.json:
-        _emit(payload, None)
+        _emit({"lambda_sq": str(lam), **asdict(report)}, None)
     else:
         print("max scaled WDVV residual: %.3e (tol %.1e) -> %s"
               % (report.max_residual, report.tol, "pass" if report.passed else "FAIL"))
@@ -209,7 +202,7 @@ def _cmd_gamma(args) -> int:
 
 def build_catalog(*args):
     """``catalog.build_catalog``, imported on first use; perfbench/tracer.py wraps it
-    under this name until ROADMAP item 4 moves the tracer onto spans."""
+    under this name until ROADMAP item 5 moves the tracer onto spans."""
     from .catalog import build_catalog
 
     return build_catalog(*args)

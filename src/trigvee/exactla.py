@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -151,6 +152,13 @@ def nullspace_cleared(rows: Iterable[Sequence], ncols: int) -> tuple[list[list[i
             v[p] = -row[f]
         basis.append(v)
     return basis, d
+
+
+def annihilator(rows: Sequence[Sequence[int]], span: Iterable[int], ncols: int) -> tuple[list, int, list]:
+    """(K, d, images): the basis ``nullspace`` gives for the rows in span is
+    K / d in integers; images[i] pairs rows[i] with K, zero exactly on the span."""
+    kernel, d = nullspace_cleared([rows[i] for i in span], ncols)
+    return kernel, d, [tuple(sum(map(mul, a, k)) for k in kernel) for a in rows]
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Vec]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-from .configuration import Configuration, c_delta, class_of, lattice, warn_dropped
-from .exactla import Vec, nullspace_cleared, rank
+from .configuration import (
+    Configuration, c_delta, class_of, gram_inverse_cleared, lattice, warn_dropped)
+from .exactla import SingularMatrixError, Vec, annihilator
 from .veesystem import SubsystemHandle
 
 
@@ -52,33 +52,28 @@ def restrict(cfg: Configuration, sub: SubsystemHandle) -> RestrictionResult:
             )
 
     lat = lattice(cfg)
-    kernel, d = nullspace_cleared([lat.covectors[i] for i in sub.span_indices], cfg.dim)
+    kernel, d, images = annihilator(lat.covectors, sub.span_indices, cfg.dim)
     if not kernel:
         raise EmptyChildError("the subsystem spans the whole dual space")
     merged: dict[tuple[int, ...], list] = {}  # projection -> [multiplicity, parent indices]
-    for j, (a, c) in enumerate(zip(lat.covectors, lat.multiplicities)):
-        pa = tuple(sum(map(mul, a, k)) for k in kernel)
+    for j, (pa, c) in enumerate(zip(images, lat.multiplicities)):
         if any(pa):  # only the members, inside the span, project to zero
             entry = merged.setdefault(pa, [0, []])
             entry[0] += c
             entry[1].append(j)
-    # sum of c_j p_j p_j^T is B^T G B, B = kernel / d, times (den * d)^2 * mult_den > 0
-    k = len(kernel)
-    restricted_gram = [
-        [sum(c * pa[u] * pa[v] for pa, (c, _) in merged.items()) for v in range(k)]
-        for u in range(k)
-    ]
-    if rank(restricted_gram) < k:
-        raise DegenerateRestrictedGramError("restricted Gram form is degenerate")
     kept = {pa: entry for pa, entry in merged.items() if entry[0]}
-    warn_dropped(len(merged) - len(kept))
-
     scale = lat.denominator * d
     covs = tuple(tuple(Fraction(x, scale) for x in pa) for pa in kept)
     mults = tuple(Fraction(c, lat.mult_denominator) for c, _ in kept.values())
     provenance = tuple(tuple(js) for _, js in kept.values())
     name = None if cfg.name is None else "%s | restricted along %s" % (
         cfg.name, list(sub.span_indices))
-    child = Configuration(k, covs, mults, name)
+    child = Configuration(len(kernel), covs, mults, name)
+    # its Gram form is B^T G B, B = kernel / d, up to a positive scale
+    try:
+        gram_inverse_cleared(child)
+    except SingularMatrixError:
+        raise DegenerateRestrictedGramError("restricted Gram form is degenerate") from None
+    warn_dropped(len(merged) - len(kept))
     basis = tuple(tuple(Fraction(x, d) for x in v) for v in kernel)
     return RestrictionResult(child, basis, provenance)

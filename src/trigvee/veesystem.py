@@ -34,10 +34,10 @@ from .configuration import (
 from .exactla import (
     Mat,
     Vec,
+    annihilator,
     clear_denominators,
     dot,
     independent,
-    nullspace_cleared,
     rank,
     wedge_pairs,
     zero_wedge_form,
@@ -385,10 +385,8 @@ def subsystem(cfg: Configuration, span_indices) -> SubsystemHandle:
         raise ValueError("span_indices must lie in [0, %d), got %s" % (len(cfg), list(chosen)))
     lat = lattice(cfg)
     basis_idx = [chosen[i] for i in independent([lat.covectors[i] for i in chosen])]
-    kernel, _ = nullspace_cleared([lat.covectors[i] for i in basis_idx], cfg.dim)
-    members = tuple(
-        j for j, a in enumerate(lat.covectors) if not any(sum(map(mul, a, k)) for k in kernel)
-    )
+    images = annihilator(lat.covectors, basis_idx, cfg.dim)[2]
+    members = tuple(j for j, img in enumerate(images) if not any(img))
     # the Gram form of the members on the duals of the basis, scaled to integers
     pm, mults = pairings(cfg)[0], lat.multiplicities
     gb = [

@@ -56,12 +56,7 @@ class ResidualReport:
 
 
 @dataclass(frozen=True)
-class AssociativityReport:
-    max_residual: float
-    tol: float
-    passed: bool
-    seed: int
-    points: int
+class AssociativityReport(ResidualReport):
     wdvv_max_residual: float
     agrees_with_wdvv: bool
 

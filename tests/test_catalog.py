@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,10 @@ def test_catalog_json_round_trip_and_determinism():
     payload = json.loads(cat1.dumps())
     assert payload["parent_lambda_sq"] == str(lambda_sq(cfg))
     assert all(e["lambda_sq"] == payload["parent_lambda_sq"] for e in payload["entries"])
+    # a Fraction is written as its str, and any other value JSON cannot hold is refused
+    odd = replace(cat1, entries=(replace(cat1.entries[0], lambda_sq=object()),))
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        odd.dumps()
 
 
 def test_catalog_entries_verified():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -10,6 +11,7 @@ from trigvee.cli import main
 from trigvee.configuration import from_json_dict, to_json_dict
 from trigvee.families import PARAM_NAMES, family_spec, generate
 from trigvee.veesystem import lambda_sq
+from trigvee.wdvv import ResidualReport
 
 
 _INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
@@ -83,6 +85,7 @@ def test_wdvv_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["lambda_sq"] == "686/9"
+    assert set(payload) == {"lambda_sq"} | {f.name for f in fields(ResidualReport)}
 
     code, out, err = run(capsys, "wdvv", str(path), "--lambda-sq", "5", "--samples", "4", "--json")
     assert code == 1
