@@ -153,53 +153,35 @@ def classify_and_h(cfg: Configuration, rd: RootData) -> tuple[Fraction, dict[int
     """Match covectors to census classes and recover the Gram factor h.
 
     Uses the intrinsic values v_a = a(a-vee) = <a,a>/h, which are invariant
-    under any linear change of realization; the assignment census-class ->
-    value is pinned by count matching and consistency of h across classes.
+    under any linear change of realization.  One h serves every class and the
+    census norms are distinct, so |v| orders the value groups as the norms
+    order the classes: that pairing is the only one that can hold, and it
+    holds when every count matches and every class gives the same h.  The
+    largest |v| is never 0, since sum_a c_a v_a = N, so h is read off it.
     """
     dv = duals(cfg)
     values: dict[Fraction, list[int]] = {}
     for i, a in enumerate(cfg.covectors):
         values.setdefault(dot(a, dv[i]), []).append(i)
-    groups = sorted(values.items())
-    census = sorted(rd.census, key=lambda c: (c.count, c.norm_sq))
+    groups = sorted(values.items(), key=lambda g: abs(g[0]))
+    census = sorted(rd.census, key=lambda c: c.norm_sq)
     if len(groups) != len(census):
         raise ClassificationError(
             "configuration has %d norm classes, census has %d" % (len(groups), len(census))
         )
-    from itertools import permutations
-
-    valid = []
-    for perm in permutations(range(len(census))):
-        h = None
-        ok = True
-        for (v, idxs), ci in zip(groups, perm):
-            cls = census[ci]
-            if cls.count != len(idxs):
-                ok = False
-                break
-            hc = cls.norm_sq / v
-            if h is None:
-                h = hc
-            elif hc != h:
-                ok = False
-                break
-        if ok:
-            assignment = {i: census[ci].label for (v, idxs), ci in zip(groups, perm) for i in idxs}
-            valid.append((h, assignment))
-    if not valid:
+    pairs = list(zip(groups, census))
+    h = census[-1].norm_sq / groups[-1][0]
+    if any(cls.count != len(idxs) or cls.norm_sq != h * v for (v, idxs), cls in pairs):
         raise ClassificationError("covector classes do not match the census")
-    hs = {h for h, _ in valid}
-    if len(hs) != 1:
-        raise ClassificationError("ambiguous census assignment")
-    return valid[0]
+    return h, {i: cls.label for (_, idxs), cls in pairs for i in idxs}
 
 
 def gamma_sq_direct(cfg: Configuration, rd: RootData) -> Fraction:
     """gamma^2 through gamma^2 * lambda^2 = -4 h^3.
 
-    The factor h comes from the census trace identity
-    h = (1/N) sum_a c_a <a,a>, evaluated through the intrinsic classification
-    above, so any rational realization of the root system works.
+    The factor h comes from classify_and_h, which reads it off the intrinsic
+    values a(a-vee) = <a,a>/h, so any rational realization of the root system
+    works.
     """
     h, _ = classify_and_h(cfg, rd)
     lam = lambda_sq(cfg)

@@ -365,10 +365,6 @@ class SubsystemHandle:
     is_isotropic: bool
 
     @property
-    def corank(self) -> int:
-        return len(self.span_indices)
-
-    @property
     def wdual_basis(self) -> tuple[Vec, ...]:
         """Basis of the dual image of W inside V: the duals of the span."""
         dv = duals(self.parent)

@@ -44,6 +44,11 @@ def test_gen_check_round_trip(tmp_path, capsys):
     assert payload["is_vee"] is True
     assert payload["lambda_sq"] == "1458/11"
 
+    named = tmp_path / "named.json"
+    assert run(capsys, "gen", "--family", "G2", "--param", "p=1", "--param", "q=1",
+               "--name", "hexagon", "-o", str(named)) == (0, "", "")
+    assert from_json_dict(json.loads(named.read_text())).name == "hexagon"
+
 
 def test_check_counterexample_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -159,6 +164,17 @@ def test_gamma_command(capsys):
         "error: family BC has no gamma route; gamma supports A, D, E6, E7, E8 (--t)"
         " and B, C, F4, G2 (--p, --q)\n"
     )
+
+
+@pytest.mark.parametrize("family,t", [
+    (["--family", "E8"], ["--t", "1"]),
+    (["--family", "A", "--rank", "3"], ["--t", "2"]),
+    (["--family", "D", "--rank", "4"], ["--t=-1/2"]),
+], ids=["E8", "A3", "D4"])
+def test_gamma_simply_laced_takes_t(family, t, capsys):
+    code, out, err = run(capsys, "gamma", *family, *t, "--json")
+    assert code == 0 and err == "" and json.loads(out)["agree"] is True
+    assert run(capsys, "gamma", *family) == (2, "", "error: family %s takes --t\n" % family[1])
 
 
 @pytest.mark.parametrize("family,flags", [
@@ -490,3 +506,13 @@ def test_singular_gram_form_is_named(command, tmp_path, capsys):
     assert run(capsys, command[0], str(path), *command[1:]) == (
         2, "", "error: the weighted Gram form is singular\n"
     )
+
+
+def test_wdvv_on_a_singular_gram_form_exit_2(tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"dim": 2, "covectors": [[1, 0], [0, 1], [0, -1]],
+                                "multiplicities": [1, 1, -1]}))
+    code, out, err = run(capsys, "wdvv", str(path))
+    assert (code, out) == (2, "") and "error: lambda^2 is undefined" in err
+    code, out, err = run(capsys, "wdvv", str(path), "--lambda-sq", "1")
+    assert (code, out) == (2, "") and err.endswith("error: base form is numerically singular\n")
