@@ -5,8 +5,9 @@ restriction refused for a zero class sum), 2 malformed input, unsupported reques
 an ``-o`` path that cannot be written or a request too large for memory, 141
 (128 + SIGPIPE) stdout closed by its reader before the output was written.
 
-Only the ``wdvv`` command loads numpy: it imports its module when it runs, so
-``import trigvee.cli`` and every other command stay numpy-free.
+``import trigvee.cli`` loads only the configuration and exactla modules; each
+command imports the layers it runs when it runs, so only ``wdvv`` loads numpy,
+and the exact commands (check, gen, gamma, subsystem) load no dataclasses.
 """
 
 from __future__ import annotations
@@ -16,23 +17,27 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict
 from fractions import Fraction
 
-from .configuration import from_json_dict, to_json_dict
+from .configuration import from_json_dict, gram_inverse, to_json_dict
 from .exactla import rat
-from .families import _TABLE, PARAM_NAMES, family_spec, generate
-from .gamma import gamma_sq_direct, gamma_tilde_sq, gamma_tilde_sq_dual, root_data
-from .restriction import CDeltaZeroError, restrict
-from .veesystem import (
-    NotEigenError,
-    NotProportionalError,
-    ZeroG2Error,
-    lambda_sq,
-    m_operator,
-    subsystem,
-    vee_check,
-)
+
+
+def _deferred(name: str):
+    """The package export ``name``, loaded on its first call.  The commands call
+    these through this module's globals, which perfbench/tracer.py wraps."""
+
+    def call(*args, **kwargs):
+        return getattr(sys.modules[__package__], name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+generate, vee_check, lambda_sq, build_catalog = map(
+    _deferred, ["generate", "vee_check", "lambda_sq", "build_catalog"])
+gamma_sq_direct, gamma_tilde_sq, gamma_tilde_sq_dual = map(
+    _deferred, ["gamma_sq_direct", "gamma_tilde_sq", "gamma_tilde_sq_dual"])
 
 
 class InputError(ValueError):
@@ -87,6 +92,8 @@ def _parse_params(items) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    from .families import family_spec
+
     params = _parse_params(args.param)
     partition = None if args.partition is None else _parse_indices(args.partition)
     spec = family_spec(args.family, rank=args.rank, partition=partition, **params)
@@ -116,12 +123,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_wdvv(args) -> int:
+    from dataclasses import asdict
+
     from . import wdvv
 
     cfg = _load_config(args.config)
     if args.lambda_sq is not None:
         lam = _parse_rat("--lambda-sq", args.lambda_sq)
     else:
+        from .veesystem import NotProportionalError, ZeroG2Error
+
+        gram_inverse(cfg)  # a singular Gram form is named as check names it
         try:
             lam = lambda_sq(cfg)
         except (NotProportionalError, ZeroG2Error) as e:
@@ -136,6 +148,9 @@ def _cmd_wdvv(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
+    from .restriction import restrict
+    from .veesystem import subsystem
+
     cfg = _load_config(args.config)
     handle = subsystem(cfg, _parse_indices(args.kernel_of))
     res = restrict(cfg, handle)
@@ -147,6 +162,8 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_subsystem(args) -> int:
+    from .veesystem import NotEigenError, m_operator, subsystem
+
     cfg = _load_config(args.config)
     handle = subsystem(cfg, _parse_indices(args.span))
     payload = {
@@ -165,6 +182,9 @@ def _cmd_subsystem(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from .families import PARAM_NAMES, family_spec
+    from .gamma import root_data
+
     fam = args.family
     # family_spec checks the rank, which root_data takes on trust
     rank = family_spec(fam, args.rank, **dict.fromkeys(PARAM_NAMES.get(fam, ()), 1)).rank
@@ -200,16 +220,9 @@ def _cmd_gamma(args) -> int:
     return 0 if payload["agree"] else 1
 
 
-def build_catalog(*args):
-    """``catalog.build_catalog``, imported on first use; perfbench/tracer.py wraps it
-    under this name until ROADMAP item 5 moves the tracer onto spans."""
-    from .catalog import build_catalog
-
-    return build_catalog(*args)
-
-
 def _cmd_catalog(args) -> int:
-    from .catalog import CatalogError  # only this command loads the catalog module
+    from .catalog import CatalogError
+    from .families import _TABLE, family_spec
 
     params = _parse_params(args.param)
     if not params:
@@ -303,12 +316,11 @@ def main(argv=None) -> int:
             # the reader stopped early; what is still buffered goes to devnull at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 141
-        except CDeltaZeroError as e:
-            print("error: %s" % e, file=sys.stderr)
-            return 1
         except (InputError, ValueError, KeyError, ZeroDivisionError) as e:
             print("error: %s" % e, file=sys.stderr)
-            return 2
+            # a restriction refused for a zero class sum exits 1; only a loaded module raises it
+            refused = getattr(sys.modules.get(__package__ + ".restriction"), "CDeltaZeroError", ())
+            return 1 if isinstance(e, refused) else 2
         except MemoryError as e:
             print("error: out of memory%s" % (": %s" % e if str(e) else ""), file=sys.stderr)
             return 2

@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import gcd
@@ -48,25 +47,50 @@ class ZeroMultiplicityWarning(UserWarning):
     """Covectors whose merged multiplicity cancelled to zero were dropped."""
 
 
-@dataclass(frozen=True)
 class Configuration:
-    """A finite collection of covectors with rational multiplicities."""
+    """A finite collection of covectors with rational multiplicities.
 
-    dim: int
-    covectors: tuple[Vec, ...]
-    multiplicities: tuple[Fraction, ...]
-    name: str | None = None
+    The four fields are read-only, and equality, hashing and the repr see only
+    them; ``memo`` keeps derived data in the instance ``__dict__``.
+    """
 
-    def __post_init__(self):
-        if self.dim < 1:
+    __slots__ = ("dim", "covectors", "multiplicities", "name", "__dict__", "__weakref__")
+
+    def __init__(self, dim: int, covectors: tuple[Vec, ...], multiplicities: tuple[Fraction, ...],
+                 name: str | None = None):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if len(self.covectors) != len(self.multiplicities):
+        if len(covectors) != len(multiplicities):
             raise ValueError("covectors and multiplicities must have equal length")
-        for a in self.covectors:
-            if len(a) != self.dim:
+        for a in covectors:
+            if len(a) != dim:
                 raise ValueError("covector length does not match dimension")
             if is_zero_vec(a):
                 raise ValueError("zero covector is not allowed")
+        for field, value in zip(self.__slots__, (dim, covectors, multiplicities, name)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _key(self) -> tuple:
+        return self.dim, self.covectors, self.multiplicities, self.name
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(dim=%r, covectors=%r, multiplicities=%r, name=%r)" % (
+            type(self).__qualname__, *self._key())
+
+    def __reduce__(self):  # copies and pickles carry the fields; memos are recomputed
+        return type(self), self._key()
 
     def __len__(self) -> int:
         return len(self.covectors)
@@ -198,8 +222,7 @@ def pairings(cfg: Configuration) -> tuple[list[list[int]], int]:
     return pm, lat.denominator * dv_den
 
 
-@dataclass(frozen=True)
-class CollinearClass:
+class CollinearClass(NamedTuple):
     """One maximal proportionality class; ratios are taken against the anchor."""
 
     anchor: int

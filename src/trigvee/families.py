@@ -15,7 +15,6 @@ drop every covector raise ``DegenerateParamsError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, NamedTuple
@@ -33,8 +32,7 @@ class DegenerateParamsError(ZeroDivisionError):
     multiplicity of a family vanish."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     family: str
     rank: int | None = None
     params: tuple[tuple[str, Fraction], ...] = ()

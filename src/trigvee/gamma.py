@@ -10,9 +10,8 @@ on any rational realization of the root system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .configuration import Configuration, duals
 from .exactla import dot, rat
@@ -27,16 +26,14 @@ class ClassificationError(ValueError):
     """Configuration covectors cannot be matched to the root-class census."""
 
 
-@dataclass(frozen=True)
-class RootClass:
+class RootClass(NamedTuple):
     label: str
     norm_sq: Fraction
     count: int
     param: str  # the generator parameter carrying this class: its multiplicity / norm_sq
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(NamedTuple):
     """Norms, highest-root coefficients and the positive-root census.
 
     All entries are rationals tied to the standard realization of the root

@@ -13,13 +13,12 @@ none carries into the next, keys the bucket together with the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .configuration import Configuration, lattice, packed
 
 
-@dataclass(frozen=True)
-class SeriesDecomposition:
+class SeriesDecomposition(NamedTuple):
     alpha: int
     series: tuple[tuple[int, ...], ...]
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -163,14 +162,12 @@ class SeriesResidual(NamedTuple):
     residual: Fraction
 
 
-@dataclass(frozen=True)
-class CDeltaWarning:
+class CDeltaWarning(NamedTuple):
     anchor: int
     subset: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VeeReport:
+class VeeReport(NamedTuple):
     is_vee: bool
     series_residuals: tuple[SeriesResidual, ...]
     c_delta_warnings: tuple[CDeltaWarning, ...]
@@ -355,8 +352,7 @@ def vee_check(cfg: Configuration, probe_flips: int = 2, seed: int = 7) -> VeeRep
 # --- subsystems ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsystemHandle:
+class SubsystemHandle(NamedTuple):
     """A subsystem: all parent covectors inside the span of the chosen ones."""
 
     parent: Configuration
@@ -408,8 +404,7 @@ def extract(cfg: Configuration, sub: SubsystemHandle) -> Configuration:
     return Configuration(len(sub.span_indices), covs, mults, name)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     eigenvalues: tuple[Fraction, ...]
     eigenspaces: tuple[tuple[Vec, ...], ...]
     member_eigenvalues: tuple[tuple[int, Fraction], ...]

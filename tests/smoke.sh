@@ -41,6 +41,7 @@ if grep -q '^warning:' err.txt; then cat err.txt; exit 1; fi
 echo '{"dim": 2, "covectors": [[1, 0], [0, 1], [0, -1]], "multiplicities": [1, 1, -1]}' > singular.json
 code=0; trigvee check singular.json 2> err.txt || code=$?; test "$code" = 2
 grep -q 'Gram form' err.txt
-python -c "import trigvee.cli, sys; sys.exit('numpy' in sys.modules)"
+# importing the CLI loads no numpy, no dataclasses and no layer a command loads itself
+python -c "import trigvee.cli, sys; sys.exit(any(m in sys.modules for m in ['numpy', 'dataclasses', 'trigvee.families', 'trigvee.gamma', 'trigvee.veesystem']))"
 # the catalog runs in process: it must finish without loading numpy
 python -c "import sys; from trigvee.cli import main; sys.exit(main(['catalog', '--family', 'G2', '--max-corank', '1']) or 'numpy' in sys.modules)"

@@ -328,6 +328,14 @@ def test_restrict_zero_class_sum_exit_1(tmp_path, capsys):
     assert err.startswith("error: collinearity class of spanning covector 0 has zero weighted sum")
 
 
+def test_catalog_zero_class_sum_exit_1(capsys):
+    # the same refusal met inside the catalog's restrictions
+    assert run(capsys, "catalog", "--family", "BC", "--rank", "3", "--param", "r=-4",
+               "--param", "s=1", "--param", "q=1", "--max-corank", "1") == (
+        1, "", "error: collinearity class of spanning covector 0 has zero weighted sum\n"
+    )
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_wdvv_bad_tolerance_exit_2(tol, capsys):
     # a genuine solution: before the check, -1 and nan printed "-> FAIL" and exited 1
@@ -498,7 +506,7 @@ def test_library_warning_prints_as_one_line(tmp_path, capsys):
     assert (code, err) == (0, proc.stderr) and warnings.showwarning is shown
 
 
-@pytest.mark.parametrize("command", [["check"], ["subsystem", "--span", "0"]])
+@pytest.mark.parametrize("command", [["check"], ["subsystem", "--span", "0"], ["wdvv"]])
 def test_singular_gram_form_is_named(command, tmp_path, capsys):
     path = tmp_path / "singular.json"
     path.write_text(json.dumps({"dim": 2, "covectors": [[1, 0], [0, 1], [0, -1]],
@@ -512,7 +520,7 @@ def test_wdvv_on_a_singular_gram_form_exit_2(tmp_path, capsys):
     path = tmp_path / "singular.json"
     path.write_text(json.dumps({"dim": 2, "covectors": [[1, 0], [0, 1], [0, -1]],
                                 "multiplicities": [1, 1, -1]}))
-    code, out, err = run(capsys, "wdvv", str(path))
-    assert (code, out) == (2, "") and "error: lambda^2 is undefined" in err
+    # named before lambda^2 is computed, with no warning about the merge that computing it drops
+    assert run(capsys, "wdvv", str(path)) == (2, "", "error: the weighted Gram form is singular\n")
     code, out, err = run(capsys, "wdvv", str(path), "--lambda-sq", "1")
     assert (code, out) == (2, "") and err.endswith("error: base form is numerically singular\n")

@@ -1,8 +1,9 @@
-"""Package exports load lazily, and only ``wdvv`` loads numpy, with one BLAS
-thread unless the user chose a number.
+"""Package exports load lazily, each command loads only the modules it runs,
+and only ``wdvv`` loads numpy, with one BLAS thread unless the user chose a
+number.
 
-The numpy checks run in a fresh interpreter: the test process has numpy
-loaded already.
+The import checks run in a fresh interpreter: the test process has every
+module loaded already.
 """
 
 import importlib
@@ -20,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 F4 = str(ROOT / "perfbench" / "inputs" / "F4.json")
 
 # Each step runs in one interpreter, in order; after each, the script reports
-# whether numpy is loaded and the command's exit code.
+# the command's exit code, whether numpy is loaded, and the loaded trigvee
+# modules, with dataclasses among them when it is loaded.
 _SCRIPT = r"""
 import contextlib, io, json, sys
 steps = json.loads(sys.argv[1])
@@ -33,7 +35,8 @@ for step in steps:
         from trigvee.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(step)
-    report.append([step, code, "numpy" in sys.modules])
+    loaded = sorted(m for m in sys.modules if m.startswith("trigvee") or m == "dataclasses")
+    report.append([step, code, "numpy" in sys.modules, loaded])
 print(json.dumps(report))
 """
 
@@ -62,8 +65,8 @@ def test_exact_commands_load_no_numpy(tmp_path):
         ["catalog", "--family", "G2", "--max-corank", "1"],
     ]
     report = _run(steps)
-    assert [code for _, code, _ in report] == [None] * 3 + [0] * 6
-    assert [step for step, _, numpy in report if numpy] == []
+    assert [code for _, code, _, _ in report] == [None] * 3 + [0] * 6
+    assert [step for step, _, numpy, _ in report if numpy] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -71,7 +74,38 @@ def test_exact_commands_load_no_numpy(tmp_path):
     ["wdvv", F4, "--samples", "5", "--json"],
 ])
 def test_float_commands_load_numpy(argv):
-    assert _run(["trigvee.cli", argv]) == [["trigvee.cli", None, False], [argv, 0, True]]
+    report = _run(["trigvee.cli", argv])
+    assert [row[:3] for row in report] == [["trigvee.cli", None, False], [argv, 0, True]]
+
+
+_BASE = ["trigvee", "trigvee.cli", "trigvee.configuration", "trigvee.exactla"]
+_VEE = ["trigvee.series", "trigvee.veesystem"]
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["check", F4, "--json"], _VEE),
+    (["gen", "--family", "F4", "--param", "r=1", "--param", "s=1"], ["trigvee.families"]),
+    (["gamma", "--family", "F4", "--p", "1", "--q", "2"],
+     ["trigvee.families", "trigvee.gamma", *_VEE]),
+    (["subsystem", F4, "--span", "0,1", "--json"], _VEE),
+    (["restrict", F4, "--kernel-of", "0"], ["dataclasses", "trigvee.restriction", *_VEE]),
+    (["catalog", "--family", "G2", "--max-corank", "1"],
+     ["dataclasses", "trigvee.catalog", "trigvee.families", "trigvee.permgroup",
+      "trigvee.restriction", *_VEE]),
+    # F4.json's lambda^2 given: the veesystem module that computes it stays unloaded
+    (["wdvv", F4, "--samples", "3", "--lambda-sq", "972/5", "--json"],
+     ["dataclasses", "trigvee.wdvv"]),
+    (["wdvv", F4, "--samples", "3", "--json"], ["dataclasses", "trigvee.wdvv", *_VEE]),
+], ids=["check", "gen", "gamma", "subsystem", "restrict", "catalog", "wdvv-lambda-sq", "wdvv"])
+def test_each_command_loads_only_its_modules(argv, modules):
+    [(_, code, _, loaded)] = _run([argv])
+    assert code == 0 and loaded == sorted(_BASE + modules)
+
+
+def test_setup_imports_load_no_dataclasses():
+    # what perfbench/setup_probe.py imports before it builds the inputs
+    steps = ["trigvee.cli", "trigvee.configuration", "trigvee.exactla", "trigvee.families"]
+    assert _run(steps)[-1] == [steps[-1], None, False, sorted(_BASE + ["trigvee.families"])]
 
 
 # The public names, as the eager re-exports of earlier versions listed them.
