@@ -1,5 +1,6 @@
 import importlib
 import json
+import pickle
 import random
 import types
 from fractions import Fraction as Q
@@ -31,6 +32,24 @@ def test_configuration_invariants():
         configuration(2, [[1, 0]], [1, 2])
     with pytest.raises(ValueError):
         configuration(2, [[1, 0, 0]], [1])
+
+
+def test_configuration_fields_are_read_only_and_alone_decide_equality():
+    cfg = configuration(2, [[1, 0], [1, 1]], [1, "1/2"], name="P")
+    twin = Configuration(2, cfg.covectors, cfg.multiplicities, "P")
+    duals(cfg)  # a memo entry on one side only
+    assert cfg == twin and hash(cfg) == hash(twin) and cfg != cfg.with_name("Q")
+    assert repr(cfg) == (
+        "Configuration(dim=2, covectors=((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1),"
+        " Fraction(1, 1))), multiplicities=(Fraction(1, 1), Fraction(1, 2)), name='P')"
+    )
+    for name in ("dim", "covectors", "memo"):
+        with pytest.raises(AttributeError, match="cannot assign to field '%s'" % name):
+            setattr(cfg, name, None)
+    with pytest.raises(AttributeError, match="cannot delete field 'name'"):
+        del cfg.name
+    copied = pickle.loads(pickle.dumps(cfg))
+    assert copied == cfg and copied is not cfg and "_memo_duals" not in copied.__dict__
 
 
 def test_gram_examples():
