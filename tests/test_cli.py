@@ -326,9 +326,6 @@ def test_restrict_zero_class_sum_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "restrict", str(path), "--kernel-of", "0")
     assert code == 1 and out == ""
     assert err.startswith("error: collinearity class of spanning covector 0 has zero weighted sum")
-
-
-def test_catalog_zero_class_sum_exit_1(capsys):
     # the same refusal met inside the catalog's restrictions
     assert run(capsys, "catalog", "--family", "BC", "--rank", "3", "--param", "r=-4",
                "--param", "s=1", "--param", "q=1", "--max-corank", "1") == (
