@@ -22,10 +22,10 @@ import hashlib
 import json
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
+from typing import NamedTuple
 
 from .configuration import (
     Configuration,
@@ -97,8 +97,7 @@ def _tuple_repr(runs: list) -> str:
     return "(%s,)" % items[0] if len(items) == 1 else "(%s)" % ", ".join(items)
 
 
-@dataclass(frozen=True)
-class FlatClass:
+class FlatClass(NamedTuple):
     span_indices: tuple[int, ...]  # representative anchors spanning the flat
     n_members: int
     corank: int
@@ -354,8 +353,7 @@ class _Flat:
         return w.order() // w_stab * stab
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     family: str
     params: str
     corank: int
@@ -369,8 +367,7 @@ class CatalogEntry:
     lambda_verified: bool = True  # one-dimensional children carry no wedge constraint
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     family: str
     params: str
     max_corank: int
@@ -378,7 +375,9 @@ class Catalog:
     entries: tuple[CatalogEntry, ...]
 
     def dumps(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, default=_fraction_str)
+        # json writes a NamedTuple as an array, so each entry becomes its dict
+        record = self._asdict() | {"entries": [e._asdict() for e in self.entries]}
+        return json.dumps(record, indent=2, sort_keys=True, default=_fraction_str)
 
 
 def _fraction_str(x) -> str:
@@ -444,7 +443,7 @@ def build_catalog(
             digest = canonical_digest(child)
             if digest in entries:  # child_lam is parent_lam, as is the old entry's
                 old = entries[digest]
-                entries[digest] = replace(old, class_size=old.class_size + fc.class_size)
+                entries[digest] = old._replace(class_size=old.class_size + fc.class_size)
             else:
                 entries[digest] = CatalogEntry(
                     family, params, fc.corank, fc.span_indices, len(handle.member_indices),

@@ -6,8 +6,8 @@ an ``-o`` path that cannot be written or a request too large for memory, 141
 (128 + SIGPIPE) stdout closed by its reader before the output was written.
 
 ``import trigvee.cli`` loads only the configuration and exactla modules; each
-command imports the layers it runs when it runs, so only ``wdvv`` loads numpy,
-and the exact commands (check, gen, gamma, subsystem) load no dataclasses.
+command imports the layers it runs when it runs, so only ``wdvv`` loads numpy.
+Every record is a ``typing.NamedTuple``, so no command loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -57,14 +57,15 @@ def _emit(obj, out: str | None):
     """Write a command's output: a report's own ``dumps()`` text, or a plain dict
     as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
     text = json.dumps(obj, indent=2, sort_keys=True) if isinstance(obj, dict) else obj.dumps()
+    text += "\n"  # before the write, so only one text is alive while write copies it
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
         except OSError as e:
             raise InputError("cannot write %s: %s" % (out, e.strerror or e))
-    else:
-        print(text)
+    elif sys.stdout is not None:  # None when started with stdout closed
+        sys.stdout.write(text)  # one write: no lone newline can fail after the reader stops
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -123,8 +124,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_wdvv(args) -> int:
-    from dataclasses import asdict
-
     from . import wdvv
 
     cfg = _load_config(args.config)
@@ -140,7 +139,7 @@ def _cmd_wdvv(args) -> int:
             raise InputError("lambda^2 is undefined for this configuration: %s" % e)
     report = wdvv.wdvv_residual(cfg, lam, points=args.samples, seed=args.seed, tol=args.tol)
     if args.json:
-        _emit({"lambda_sq": str(lam), **asdict(report)}, None)
+        _emit({"lambda_sq": str(lam), **report._asdict()}, None)
     else:
         print("max scaled WDVV residual: %.3e (tol %.1e) -> %s"
               % (report.max_residual, report.tol, "pass" if report.passed else "FAIL"))

@@ -10,8 +10,8 @@ All of it runs in integers on the parent's integer view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .configuration import (
     Configuration, c_delta, class_of, gram_inverse_cleared, lattice, warn_dropped)
@@ -31,8 +31,7 @@ class EmptyChildError(ValueError):
     """Every covector restricts to zero."""
 
 
-@dataclass(frozen=True)
-class RestrictionResult:
+class RestrictionResult(NamedTuple):
     child: Configuration
     basis: tuple[Vec, ...]  # basis of the kernel subspace, in parent coordinates
     provenance: tuple[tuple[int, ...], ...]  # parent indices merged into each child covector

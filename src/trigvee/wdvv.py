@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -46,8 +45,7 @@ class SingularBaseFormError(ValueError):
     """The constant matrix of the y-derivatives is numerically singular."""
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     max_residual: float
     tol: float
     passed: bool
@@ -55,8 +53,12 @@ class ResidualReport:
     points: int
 
 
-@dataclass(frozen=True)
-class AssociativityReport(ResidualReport):
+class AssociativityReport(NamedTuple):  # ResidualReport's fields, then two more
+    max_residual: float
+    tol: float
+    passed: bool
+    seed: int
+    points: int
     wdvv_max_residual: float
     agrees_with_wdvv: bool
 

@@ -43,5 +43,6 @@ code=0; trigvee check singular.json 2> err.txt || code=$?; test "$code" = 2
 grep -q 'Gram form' err.txt
 # importing the CLI loads no numpy, no dataclasses and no layer a command loads itself
 python -c "import trigvee.cli, sys; sys.exit(any(m in sys.modules for m in ['numpy', 'dataclasses', 'trigvee.families', 'trigvee.gamma', 'trigvee.veesystem']))"
-# the catalog runs in process: it must finish without loading numpy
-python -c "import sys; from trigvee.cli import main; sys.exit(main(['catalog', '--family', 'G2', '--max-corank', '1']) or 'numpy' in sys.modules)"
+# catalog and restrict run in process: each must finish without loading numpy or dataclasses
+python -c "import sys; from trigvee.cli import main; sys.exit(main(['catalog', '--family', 'G2', '--max-corank', '1']) or any(m in sys.modules for m in ['numpy', 'dataclasses']))"
+python -c "import sys; from trigvee.cli import main; sys.exit(main(['restrict', sys.argv[1], '--kernel-of', '0']) or any(m in sys.modules for m in ['numpy', 'dataclasses']))" "$INPUTS/F4.json"

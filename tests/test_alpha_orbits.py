@@ -10,7 +10,6 @@ representatives equals the full verdict, also on deformed parents whose
 multiplicities break some of the symmetries.
 """
 
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -171,7 +170,7 @@ def test_perturbed_child_raises_the_full_path_message(monkeypatch, name, spec, p
         child = res.child
         mults = (child.multiplicities[0] + Q(1, 7),) + child.multiplicities[1:]
         seen.append((handle, Configuration(child.dim, child.covectors, mults)))
-        return replace(res, child=seen[0][1])
+        return res._replace(child=seen[0][1])
 
     monkeypatch.setattr(catalog, "restrict", perturbed)
     cfg = generate(spec)

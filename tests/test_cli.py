@@ -1,9 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
 
 import pytest
 
@@ -90,7 +90,7 @@ def test_wdvv_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["lambda_sq"] == "686/9"
-    assert set(payload) == {"lambda_sq"} | {f.name for f in fields(ResidualReport)}
+    assert set(payload) == {"lambda_sq"} | set(ResidualReport._fields)
 
     code, out, err = run(capsys, "wdvv", str(path), "--lambda-sq", "5", "--samples", "4", "--json")
     assert code == 1
@@ -417,6 +417,41 @@ def test_closed_stdout_exits_141_without_traceback(argv):
         os.close(w)
     assert b"Traceback" not in proc.stderr and proc.stderr == b""
     assert proc.returncode == 141
+
+
+class _RecordedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "G2", "--param", "p=1", "--param", "q=2"],
+        ["catalog", "--family", "F4", "--max-corank", "2"],
+    ],
+    ids=["dict", "dumps"],
+)
+def test_output_is_one_write(argv, monkeypatch):
+    # unbuffered, each write reaches the pipe on its own, and a reader that
+    # stops after the first would make a second one fail: exit 141 by timing
+    out = _RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    [text] = out.writes
+    assert text.endswith("}\n") and json.loads(text)
+
+
+def test_output_without_stdout_is_skipped(capsys, monkeypatch):
+    # a command started with stdout closed has sys.stdout None, as print allows
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["catalog", "--family", "G2", "--max-corank", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
-"""Package exports load lazily, each command loads only the modules it runs,
-and only ``wdvv`` loads numpy, with one BLAS thread unless the user chose a
-number.
+"""Package exports load lazily, each command loads only the modules it runs
+and never ``dataclasses``, and only ``wdvv`` loads numpy, with one BLAS thread
+unless the user chose a number.
 
 The import checks run in a fresh interpreter: the test process has every
 module loaded already.
@@ -88,14 +88,13 @@ _VEE = ["trigvee.series", "trigvee.veesystem"]
     (["gamma", "--family", "F4", "--p", "1", "--q", "2"],
      ["trigvee.families", "trigvee.gamma", *_VEE]),
     (["subsystem", F4, "--span", "0,1", "--json"], _VEE),
-    (["restrict", F4, "--kernel-of", "0"], ["dataclasses", "trigvee.restriction", *_VEE]),
+    (["restrict", F4, "--kernel-of", "0"], ["trigvee.restriction", *_VEE]),
     (["catalog", "--family", "G2", "--max-corank", "1"],
-     ["dataclasses", "trigvee.catalog", "trigvee.families", "trigvee.permgroup",
+     ["trigvee.catalog", "trigvee.families", "trigvee.permgroup",
       "trigvee.restriction", *_VEE]),
     # F4.json's lambda^2 given: the veesystem module that computes it stays unloaded
-    (["wdvv", F4, "--samples", "3", "--lambda-sq", "972/5", "--json"],
-     ["dataclasses", "trigvee.wdvv"]),
-    (["wdvv", F4, "--samples", "3", "--json"], ["dataclasses", "trigvee.wdvv", *_VEE]),
+    (["wdvv", F4, "--samples", "3", "--lambda-sq", "972/5", "--json"], ["trigvee.wdvv"]),
+    (["wdvv", F4, "--samples", "3", "--json"], ["trigvee.wdvv", *_VEE]),
 ], ids=["check", "gen", "gamma", "subsystem", "restrict", "catalog", "wdvv-lambda-sq", "wdvv"])
 def test_each_command_loads_only_its_modules(argv, modules):
     [(_, code, numpy, loaded)] = _run([argv])

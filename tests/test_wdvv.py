@@ -15,7 +15,9 @@ from trigvee.families import family_spec, generate
 from trigvee.veesystem import lambda_sq
 from trigvee.wdvv import (
     POLE_GUARD,
+    AssociativityReport,
     PoleTooCloseError,
+    ResidualReport,
     _commutator_residual,
     _cot,
     _lambda_from_sq,
@@ -275,6 +277,13 @@ def test_residuals_match_per_pair_and_per_call_oracles(stem, cfg, points):
     assert abs(got.wdvv_max_residual - oracle_commutator_residual(cfg, lam, pts)) < 1e-10
     assert abs(got.max_residual - oracle_associativity(cfg, lam, pts, 5, 3)) < 1e-10
     assert got.wdvv_max_residual == wdvv_residual(cfg, lam_sq, points=12, seed=5).max_residual
+
+
+def test_associativity_report_repeats_the_residual_report_fields():
+    # `wdvv --json` writes ResidualReport's fields by name, and perfbench/assoc_job.py
+    # reads the same names off an AssociativityReport
+    assert AssociativityReport._fields[:5] == ResidualReport._fields
+    assert AssociativityReport._fields[5:] == ("wdvv_max_residual", "agrees_with_wdvv")
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 40], ids=["point-per-chunk", "one-chunk"])
