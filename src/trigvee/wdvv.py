@@ -2,7 +2,7 @@
 
 Builds the third-derivative matrices of the trigonometric prepotential with
 the auxiliary cubic variable, evaluates the commutator conditions and the
-tangent-space product at seeded random sample points, and reports scaled
+tangent-space product at seeded sample points, and reports scaled
 residuals.  Only the cotangent is ever evaluated; the prepotential itself is
 never needed.  All of it runs on float64 copies of the exact data (``float_view``).
 
@@ -10,6 +10,13 @@ Each float quantity is computed on whole arrays: candidate points are screened
 in blocks, the accepted points are one read-only (points, N) array, and the
 residuals run on row slices of it, in chunks of ``CHUNK_CELLS`` cells, the
 trig third derivatives of a chunk as one product with ``float_cubes``.
+
+The sample points and the product triples come from a SplitMix64 stream
+(``SplitMix64``, in numpy uint64 array arithmetic), not from ``numpy.random``,
+whose import also loads ``secrets``, ``hashlib`` and OpenSSL.  A seed is an
+int in [0, 2^64); the triples use seed + 1 mod 2^64.  For a given seed the
+points, and so the residuals, differ from those of versions that drew them
+with numpy's PCG64.
 
 The largest matrix product is a chunk's, too small to gain from BLAS threads,
 so numpy is loaded with a one-thread OpenBLAS pool unless numpy is loaded
@@ -108,9 +115,53 @@ def float_cubes(cfg: Configuration) -> np.ndarray:
     return floats(np.einsum("a,ai,ap,aq->aipq", c, av, av, av).reshape(len(cfg), cfg.dim**3))
 
 
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
+
+
+class SplitMix64:
+    """A seeded stream of uniform floats.  Draw k of seed s is mix(s + (k+1) GAMMA
+    mod 2^64), with the output function of Vigna's splitmix64.c (Steele, Lea and
+    Flood, OOPSLA 2014); its float is u = (z >> 11) 2^-53 in [0, 1), and the
+    uniform on [low, high) is low + (high - low) u, numpy's formula.
+
+    The stream is counter-based, so a block of draws is one array expression
+    and equals the same draws made one at a time.  The position is a Python
+    int: uint64 arrays wrap silently, but uint64 scalars warn on overflow.
+    """
+
+    def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK:
+            raise ValueError("the seed must be an int in [0, 2**64), got %r" % (seed,))
+        self.seed, self.drawn = seed, 0
+
+    def uniform(self, low: float, high: float, shape: tuple[int, ...]) -> np.ndarray:
+        """The next prod(shape) draws as an array of that shape, in C order."""
+        n = math.prod(shape)
+        z = np.arange(n, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64((self.seed + (self.drawn + 1) * _GAMMA) & _MASK)
+        self.drawn += n
+        t = np.empty_like(z)  # the one temporary; every step runs in place
+        for shift, mul in _MIX:
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            z *= mul
+        np.right_shift(z, 31, out=t)
+        z ^= t
+        z >>= 11
+        u = t.view(np.float64)
+        np.copyto(u, z, casting="unsafe")  # exact, as z < 2^53
+        u *= (high - low) * 2.0**-53  # the same float as (high - low) * (z 2^-53)
+        u += low
+        return u.reshape(shape)
+
+
 def sample_points(cfg: Configuration, points: int, seed: int) -> np.ndarray:
-    """Seeded points with min over covectors of |sin a(x)| above the pole guard,
-    as the rows of a read-only (points, N) float64 array, in acceptance order.
+    """Points of the box [-2, 2)^N drawn from ``SplitMix64(seed)`` with min over
+    covectors of |sin a(x)| above the pole guard, as the rows of a read-only
+    (points, N) float64 array, in acceptance order.
 
     Draws at most 1000 * ``points`` candidates, in blocks sized from the
     acceptance rate so far, of at least two rows and about 2 * ``CHUNK_CELLS``
@@ -123,7 +174,7 @@ def sample_points(cfg: Configuration, points: int, seed: int) -> np.ndarray:
     """
     if points < 1:
         raise ValueError("the number of sample points must be positive, got %d" % points)
-    rng = np.random.default_rng(seed)
+    stream = SplitMix64(seed)
     avt = float_view(cfg).covectors.T
     max_rows = max(2, 2 * CHUNK_CELLS // max(len(cfg), cfg.dim, 1))
     guard_angle = math.asin(min(POLE_GUARD, 1.0))
@@ -138,7 +189,7 @@ def sample_points(cfg: Configuration, points: int, seed: int) -> np.ndarray:
         # a one-row product would be a matrix-vector product, which may round
         # differently; one row is left only for the last candidate, so the spare
         # row drawn then shifts no later block
-        xs = rng.uniform(-2.0, 2.0, (max(rows, 2), cfg.dim))
+        xs = stream.uniform(-2.0, 2.0, (max(rows, 2), cfg.dim))
         vals = (xs @ avt)[:rows]
         xs = xs[:rows]
         drawn += rows
@@ -274,11 +325,11 @@ def associativity_residual(
         raise ValueError("the number of triples must be positive, got %d" % triples)
     lam = _lambda_from_sq(lambda_sq)
     pts = sample_points(cfg, points, seed)
-    rng = np.random.default_rng(seed + 1)
+    stream = SplitMix64((seed + 1) & _MASK)
     worst = 0.0
     for xs in _chunks(pts, 4 * triples * (len(cfg) + cfg.dim + 1)):
         # the same stream as one (triples, 3, N+1) draw per point; xs[:, None] spans the triples
-        a, b, cc = rng.uniform(-1.0, 1.0, (len(xs), triples, 3, cfg.dim + 1)).transpose(2, 0, 1, 3)
+        a, b, cc = stream.uniform(-1.0, 1.0, (len(xs), triples, 3, cfg.dim + 1)).transpose(2, 0, 1, 3)
         ab, bc = product(cfg, lam, xs[:, None], np.stack([a, b]), np.stack([b, cc]))
         lhs, rhs = product(cfg, lam, xs[:, None], np.stack([ab, a]), np.stack([cc, bc]))
         n_ab, n_cc, n_bc, n_a = np.linalg.norm(np.stack([ab, cc, bc, a]), axis=-1)

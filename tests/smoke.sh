@@ -46,3 +46,5 @@ python -c "import trigvee.cli, sys; sys.exit(any(m in sys.modules for m in ['num
 # catalog and restrict run in process: each must finish without loading numpy or dataclasses
 python -c "import sys; from trigvee.cli import main; sys.exit(main(['catalog', '--family', 'G2', '--max-corank', '1']) or any(m in sys.modules for m in ['numpy', 'dataclasses']))"
 python -c "import sys; from trigvee.cli import main; sys.exit(main(['restrict', sys.argv[1], '--kernel-of', '0']) or any(m in sys.modules for m in ['numpy', 'dataclasses']))" "$INPUTS/F4.json"
+# wdvv runs in process: it loads numpy, but not numpy.random with its secrets and OpenSSL's _hashlib
+python -c "import sys; from trigvee.cli import main; sys.exit(main(['wdvv', sys.argv[1], '--samples', '5']) or any(m in sys.modules for m in ['numpy.random', 'secrets', '_hashlib', 'dataclasses']))" "$INPUTS/F4.json"

@@ -342,6 +342,15 @@ def test_wdvv_bad_tolerance_exit_2(tol, capsys):
     assert "tolerance must be finite and positive" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_wdvv_seed_out_of_range_exit_2(seed, capsys):
+    # before the check, -1 printed "error: expected non-negative integer", naming no seed
+    f4 = os.path.join(_INPUTS, "F4.json")
+    assert run(capsys, "wdvv", f4, "--samples", "3", "--seed", seed) == (
+        2, "", "error: the seed must be an int in [0, 2**64), got %s\n" % seed
+    )
+
+
 @pytest.mark.parametrize("error,message", [
     (MemoryError("Unable to allocate 17.9 GiB"), "error: out of memory: Unable to allocate 17.9 GiB\n"),
     (MemoryError(), "error: out of memory\n"),

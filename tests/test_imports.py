@@ -1,6 +1,9 @@
 """Package exports load lazily, each command loads only the modules it runs
 and never ``dataclasses``, and only ``wdvv`` loads numpy, with one BLAS thread
-unless the user chose a number.
+unless the user chose a number.  The float verifier draws its own sample
+points, so neither ``wdvv`` nor perfbench's associativity job loads
+``numpy.random``, whose import loads ``secrets`` and OpenSSL's ``_hashlib``;
+only ``catalog`` loads ``_hashlib``, for its digest.
 
 The import checks run in a fresh interpreter: the test process has every
 module loaded already.
@@ -19,12 +22,15 @@ import trigvee
 
 ROOT = Path(__file__).resolve().parent.parent
 F4 = str(ROOT / "perfbench" / "inputs" / "F4.json")
+PYTHONPATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 # Each step runs in one interpreter, in order; after each, the script reports
 # the command's exit code, whether numpy is loaded, and the loaded trigvee
-# modules, with dataclasses among them when it is loaded.
+# modules, with those of WATCHED among them when they are loaded.
+_WATCHED = ["dataclasses", "numpy.random", "secrets", "_hashlib"]
 _SCRIPT = r"""
 import contextlib, io, json, sys
+WATCHED = %r
 steps = json.loads(sys.argv[1])
 report = []
 for step in steps:
@@ -35,18 +41,17 @@ for step in steps:
         from trigvee.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(step)
-    loaded = sorted(m for m in sys.modules if m.startswith("trigvee") or m == "dataclasses")
+    loaded = sorted(m for m in sys.modules if m.startswith("trigvee") or m in WATCHED)
     report.append([step, code, "numpy" in sys.modules, loaded])
 print(json.dumps(report))
-"""
+""" % _WATCHED
 
 
 def _run(steps):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT, json.dumps(steps)],
         capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=PYTHONPATH),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -76,6 +81,27 @@ def test_exact_commands_load_no_numpy(tmp_path):
 def test_float_commands_load_numpy(argv):
     report = _run(["trigvee.cli", argv])
     assert [row[:3] for row in report] == [["trigvee.cli", None, False], [argv, 0, True]]
+    assert not set(report[-1][3]) & set(_WATCHED)
+
+
+def test_assoc_job_loads_no_numpy_random():
+    # perfbench's library job: associativity_residual draws its triples too
+    script = (
+        "import contextlib, io, json, runpy, sys\n"
+        "sys.argv = [sys.argv[1], %r, '972/5', '3', '1']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        "    except SystemExit as e:\n"
+        "        code = e.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m in %r)]))\n"
+    ) % (F4, _WATCHED)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "perfbench" / "assoc_job.py")],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=PYTHONPATH),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
 
 
 _BASE = ["trigvee", "trigvee.cli", "trigvee.configuration", "trigvee.exactla"]
@@ -89,8 +115,9 @@ _VEE = ["trigvee.series", "trigvee.veesystem"]
      ["trigvee.families", "trigvee.gamma", *_VEE]),
     (["subsystem", F4, "--span", "0,1", "--json"], _VEE),
     (["restrict", F4, "--kernel-of", "0"], ["trigvee.restriction", *_VEE]),
+    # canonical_digest's hashlib loads OpenSSL's _hashlib
     (["catalog", "--family", "G2", "--max-corank", "1"],
-     ["trigvee.catalog", "trigvee.families", "trigvee.permgroup",
+     ["_hashlib", "trigvee.catalog", "trigvee.families", "trigvee.permgroup",
       "trigvee.restriction", *_VEE]),
     # F4.json's lambda^2 given: the veesystem module that computes it stays unloaded
     (["wdvv", F4, "--samples", "3", "--lambda-sq", "972/5", "--json"], ["trigvee.wdvv"]),
@@ -174,7 +201,7 @@ print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), dict(os.environ) == be
 
 def _threads(statements, **env):
     base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    base["PYTHONPATH"] = PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-c", _THREADS_SCRIPT % statements],
         capture_output=True, text=True, timeout=120, env=dict(base, **env),

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction as Q
 
 import numpy as np
@@ -18,6 +19,7 @@ from trigvee.wdvv import (
     AssociativityReport,
     PoleTooCloseError,
     ResidualReport,
+    SplitMix64,
     _commutator_residual,
     _cot,
     _lambda_from_sq,
@@ -37,11 +39,33 @@ _PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 # --- per-draw, per-matrix and per-call oracles for the whole-array verifier ---
 
+_MASK64 = (1 << 64) - 1
+
+
+def oracle_splitmix64(state):
+    """Vigna's splitmix64.c in Python ints: the 64-bit outputs from ``state``, one at a time."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+class OracleStream:
+    """The scalar oracle of ``SplitMix64``: each float from one output, one at a time."""
+
+    def __init__(self, seed):
+        self._outputs = oracle_splitmix64(seed)
+
+    def uniform(self, low, high, n):
+        return np.array([low + (high - low) * ((next(self._outputs) >> 11) * 2.0**-53) for _ in range(n)])
+
 
 def oracle_sample_points(cfg, points, seed):
     """One candidate per draw, tested on its own: the (points, N) array of the
     accepted points and the array of their smallest |sin a(x)|."""
-    rng = np.random.default_rng(seed)
+    stream = OracleStream(seed)
     av = float_view(cfg).covectors
     xs, sines = [], []
     tries = 0
@@ -49,7 +73,7 @@ def oracle_sample_points(cfg, points, seed):
         tries += 1
         if tries > 1000 * points:
             raise PoleTooCloseError("could not find enough pole-free sample points")
-        x = rng.uniform(-2.0, 2.0, cfg.dim)
+        x = stream.uniform(-2.0, 2.0, cfg.dim)
         ms = float(np.min(np.abs(np.sin(av @ x)))) if len(cfg) else 1.0
         if ms >= POLE_GUARD:
             xs.append(x)
@@ -60,11 +84,11 @@ def oracle_sample_points(cfg, points, seed):
 def oracle_block_sample_points(cfg, points, seed):
     """Blocks of ``points`` candidates, each tested on every covector at once:
     the accepted points and their smallest |sin a(x)|, as ``oracle_sample_points``."""
-    rng = np.random.default_rng(seed)
+    stream = OracleStream(seed)
     av = float_view(cfg).covectors
     xs, sines = np.empty((0, cfg.dim)), np.empty(0)
     for _ in range(1000):
-        block = rng.uniform(-2.0, 2.0, (points, cfg.dim))
+        block = stream.uniform(-2.0, 2.0, points * cfg.dim).reshape(points, cfg.dim)
         ms = np.abs(np.sin(block @ av.T)).min(axis=1, initial=1.0)
         keep = np.flatnonzero(ms >= POLE_GUARD)[: points - len(xs)]
         xs, sines = np.concatenate([xs, block[keep]]), np.concatenate([sines, ms[keep]])
@@ -131,12 +155,12 @@ def oracle_product(cfg, lam, pt, a, b):
 
 def oracle_associativity(cfg, lam, pts, seed, triples):
     """Four ``oracle_product`` calls per triple, three draws per triple."""
-    rng = np.random.default_rng(seed + 1)
+    stream = OracleStream((seed + 1) & _MASK64)
     n = cfg.dim
     worst = 0.0
     for pt in pts:
         for _ in range(triples):
-            a, b, cc = (rng.uniform(-1.0, 1.0, n + 1) for _ in range(3))
+            a, b, cc = (stream.uniform(-1.0, 1.0, n + 1) for _ in range(3))
             ab = oracle_product(cfg, lam, pt, a, b)
             bc = oracle_product(cfg, lam, pt, b, cc)
             lhs = oracle_product(cfg, lam, pt, ab, cc)
@@ -166,6 +190,60 @@ def _benchmark_inputs():
 
 _INPUTS = _benchmark_inputs()
 _CONFIGS = {stem: cfg for stem, cfg, _ in _INPUTS}
+
+
+def test_splitmix64_known_answer():
+    # the outputs of Vigna's splitmix64.c from state 1234567
+    outputs = oracle_splitmix64(1234567)
+    want = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+    assert [next(outputs) for _ in want] == want
+    got = SplitMix64(1234567).uniform(0.0, 1.0, (3,))
+    assert got.tolist() == [(z >> 11) * 2.0**-53 for z in want]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, _MASK64])
+def test_stream_matches_scalar_oracle(seed):
+    # blocks of every shape continue one stream; a width that is no power of two
+    # checks that scaling z by (high - low) 2^-53 rounds as (high - low) (z 2^-53)
+    calls = [(-2.0, 2.0, (3, 5)), (-1.0, 1.0, (0,)), (-1.0, 1.0, (2, 1, 3, 4)), (-0.3, 1.7, (301,))]
+    stream, oracle = SplitMix64(seed), OracleStream(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # uint64 overflow must wrap in silence
+        for low, high, shape in calls:
+            got = stream.uniform(low, high, shape)
+            assert got.dtype == np.float64 and got.shape == shape
+            assert got.tobytes() == oracle.uniform(low, high, math.prod(shape)).tobytes()
+            assert np.all((low <= got) & (got < high))
+    assert stream.drawn == sum(math.prod(shape) for _, _, shape in calls)
+
+
+@pytest.mark.parametrize("seed", [0, 42, _MASK64])
+def test_adjacent_seeds_share_no_draw(seed):
+    # the triples use seed + 1: a stream started at seed * GAMMA would make it
+    # the points' stream shifted by one draw
+    first, second = oracle_splitmix64(seed), oracle_splitmix64((seed + 1) & _MASK64)
+    assert not {next(first) for _ in range(10**4)} & {next(second) for _ in range(10**4)}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, False, 2.0, "1", None])
+def test_seed_must_be_an_int_below_two_to_the_64(seed):
+    cfg = generate(family_spec("BC", 2, r=1, s=1, q=1))
+    with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\), got "):
+        sample_points(cfg, 3, seed)
+    with pytest.raises(ValueError, match="seed"):
+        wdvv_residual(cfg, lambda_sq(cfg), points=3, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        associativity_residual(cfg, lambda_sq(cfg), points=3, seed=seed)
+
+
+def test_largest_seed_draws_its_triples_from_seed_zero():
+    # at a wrong lambda^2 the residual depends on the triples drawn
+    cfg = generate(family_spec("BC", 3, r=1, s=1, q=1))
+    lam_sq = lambda_sq(cfg) + 1
+    pts = sample_points(cfg, 4, _MASK64)
+    got = associativity_residual(cfg, lam_sq, points=4, seed=_MASK64, triples=2)
+    assert got.seed == _MASK64 and got.max_residual > 1e-3
+    assert abs(got.max_residual - oracle_associativity(cfg, _lambda_from_sq(lam_sq), pts, _MASK64, 2)) < 1e-10
 
 
 @pytest.mark.parametrize("seed", [1, 2, 42])
@@ -218,8 +296,9 @@ def test_screen_is_sound_on_large_covectors(monkeypatch, seed):
     ids=["common", "rare", "rarer", "none", "above-one"],
 )
 def test_acceptance_agrees_with_per_draw_oracle(monkeypatch, guard, raised):
-    # BC2 accepts every seed at 0.3, some within 1000 * points candidates at 0.57
-    # and 0.58, and none from 0.6 on; the blocks' sizes follow the acceptance rate
+    # within 1000 * points candidates, BC2 finds the points for all 24 (seed, points)
+    # pairs at 0.3, for 19 at 0.57, for 3 at 0.58 and for none from 0.6 on; the
+    # blocks' sizes follow the acceptance rate
     cfg = generate(family_spec("BC", 2, r=1, s=1, q=1))
     _patch_guard(monkeypatch, guard)
     outcomes = set()
